@@ -44,7 +44,7 @@ type Options struct {
 	// treat its output as garbage and discard it (cmd/figures does).
 	Context context.Context
 	// Backend, when non-nil, executes each figure's replica grid through
-	// the runner's Backend seam (runner.Subprocess shards it across worker
+	// the runner's Backend seam (runner.Fleet spreads it across worker
 	// processes). Replica seeding and aggregation order are
 	// backend-independent, so figure output is bit-identical for any
 	// backend and shard count.
@@ -54,9 +54,9 @@ type Options struct {
 	// other figures always run exact: they measure fidelity-sensitive
 	// quantities the Werner approximation is not meant to reproduce.
 	Physics qnet.Physics
-	// Timeout is the Backend's liveness bound — the Subprocess inactivity
-	// watchdog or the Fleet heartbeat bound. 0 defers to the backend's own
-	// default; negative disables detection. In-process runs ignore it.
+	// Timeout is the Backend's liveness bound — the Fleet heartbeat
+	// bound. 0 defers to the backend's own default; negative disables
+	// detection. In-process runs ignore it.
 	Timeout time.Duration
 }
 

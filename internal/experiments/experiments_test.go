@@ -416,9 +416,9 @@ func TestMain(m *testing.M) {
 
 // TestShardCountInvariance extends worker-count invariance across the
 // Backend seam: figure aggregates must be byte-identical whether replicas
-// run on the in-process pool, through the in-process bytes codec, sharded
-// over 1 or 3 worker processes, or work-stolen across a two-endpoint fleet
-// with one throttled host.
+// run on the in-process pool, through the in-process bytes codec, on local
+// fleets of 1 or 3 worker processes (-shards 1/3), or work-stolen across a
+// two-endpoint fleet with one throttled host.
 func TestShardCountInvariance(t *testing.T) {
 	t.Parallel()
 	render := func(b runner.Backend) string {
@@ -447,8 +447,8 @@ func TestShardCountInvariance(t *testing.T) {
 	}{
 		{"pool", nil},
 		{"in-process-codec", runner.InProcess{}},
-		{"shards-1", runner.Subprocess{Shards: 1, Command: worker}},
-		{"shards-3", runner.Subprocess{Shards: 3, Command: worker}},
+		{"shards-1", runner.LocalFleet(1, 0)},
+		{"shards-3", runner.LocalFleet(3, 0)},
 		{"fleet-2", runner.Fleet{Endpoints: []runner.Endpoint{
 			{Name: "a", Command: worker},
 			{Name: "b", Command: worker, Throttle: 10 * time.Millisecond},

@@ -3,7 +3,6 @@ package routing
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -204,32 +203,6 @@ func TestModelWeightedConservation(t *testing.T) {
 	}
 }
 
-// TestPlaceProbeMatchesPlanCircuit: a k=1 probe is the deprecated
-// PlanCircuit, bit for bit, under both count-split and static policies and
-// with enforcement on or off.
-func TestPlaceProbeMatchesPlanCircuit(t *testing.T) {
-	for _, policy := range []AllocationPolicy{AllocCountSplit, AllocStatic, AllocModelWeighted} {
-		for _, enforce := range []bool{false, true} {
-			c := NewController(dumbbell(), hardware.Simulation())
-			c.EnforceEER = enforce
-			c.Policy = policy
-			c.Place(PlacementRequest{ID: "bg", Plan: &Plan{Path: []string{"A1", "MA", "MB", "B1"}, MaxLPR: 2000}})
-			//qnetlint:allow nodeprecated the PlanCircuit shim's designated coverage: pins probe/legacy bit-equality until the shim is deleted
-			legacy, err1 := c.PlanCircuit("A0", "B0", 0.85, CutoffShort, 0)
-			dec, _, err2 := c.Place(PlacementRequest{Src: "A0", Dst: "B0", Fidelity: 0.85, Cutoff: CutoffShort, Probe: true})
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("policy %v enforce %v: errors differ: %v vs %v", policy, enforce, err1, err2)
-			}
-			if err1 == nil && !reflect.DeepEqual(dec.Plan, legacy) {
-				t.Fatalf("policy %v enforce %v: probe plan %+v != PlanCircuit %+v", policy, enforce, dec.Plan, legacy)
-			}
-			if dec.CandidateIndex != 0 || dec.Candidates != 1 {
-				t.Fatalf("k=1 probe chose candidate %d of %d", dec.CandidateIndex, dec.Candidates)
-			}
-		}
-	}
-}
-
 // TestPlaceReroutesAroundContention: on a ring with two equal-length sides,
 // a loaded primary forces a MinEER demand onto the alternate candidate —
 // and k=1 has no alternate, so the same demand is left under-allocated.
@@ -254,6 +227,9 @@ func TestPlaceReroutesAroundContention(t *testing.T) {
 	if probe1.Allocation >= demand {
 		t.Fatalf("k=1 probe allocation %v unexpectedly meets demand %v", probe1.Allocation, demand)
 	}
+	if probe1.CandidateIndex != 0 || probe1.Candidates != 1 {
+		t.Fatalf("k=1 probe chose candidate %d of %d, want the only one", probe1.CandidateIndex, probe1.Candidates)
+	}
 	probe2, _, err := c.Place(PlacementRequest{Src: "n0", Dst: "n3", Fidelity: 0.8, Cutoff: CutoffShort, MinEER: demand, K: 2, Probe: true})
 	if err != nil {
 		t.Fatal(err)
@@ -271,12 +247,11 @@ func TestPlaceReroutesAroundContention(t *testing.T) {
 
 // TestNonEnforcingControllerNeverRefits: the EnforceEER=false controller
 // tracks membership but must not produce re-fit traffic from any admission
-// surface (the legacy Admit bug this PR fixes).
+// form: a bare-path commit, a full-plan commit or a planning request.
 func TestNonEnforcingControllerNeverRefits(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
-	//qnetlint:allow nodeprecated the Admit shim's designated coverage: the legacy surface must stay refit-silent until the shim is deleted
-	if r := c.Admit("a", []string{"A0", "MA", "MB", "B0"}, 2000, false); len(r) != 0 {
-		t.Fatalf("non-enforcing Admit produced refits: %+v", r)
+	if r := admitPath(c, "a", []string{"A0", "MA", "MB", "B0"}, 2000, false); len(r) != 0 {
+		t.Fatalf("non-enforcing bare-path commit produced refits: %+v", r)
 	}
 	plan, err := probePlan(c, "A1", "B1", 0.85, CutoffShort, 0)
 	if err != nil {

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"qnp/internal/hardware"
@@ -49,22 +50,41 @@ func TestShortestPathDumbbell(t *testing.T) {
 	}
 }
 
-// probePlan runs a Place k=1 probe in the legacy PlanCircuit call shape:
-// these tests pin the budget math, which is identical on both surfaces (see
-// TestPlaceProbeMatchesPlanCircuit in placement_test.go).
+// probePlan runs a k=1 Place probe and returns its plan: these tests pin
+// the per-path budget math.
 func probePlan(c *Controller, src, dst string, f float64, policy CutoffPolicy, manual sim.Duration) (Plan, error) {
 	dec, _, err := c.Place(PlacementRequest{Src: src, Dst: dst, Fidelity: f, Cutoff: policy, ManualCutoff: manual, Probe: true})
 	return dec.Plan, err
 }
 
 // admitPath installs a bare path member through the Place commit form and
-// returns the re-fits, as the legacy Admit did.
+// returns the re-fits.
 func admitPath(c *Controller, id string, path []string, maxLPR float64, fixed bool) []Refit {
 	_, refits, err := c.Place(PlacementRequest{ID: id, Fixed: fixed, Plan: &Plan{Path: path, MaxLPR: maxLPR}})
 	if err != nil {
 		panic(err)
 	}
 	return refits
+}
+
+// TestMemberPathTracksMembership: the controller reports a member's path
+// from commit until release (the signalling plane reads it to propagate
+// re-fits hop by hop), and forgets it afterwards.
+func TestMemberPathTracksMembership(t *testing.T) {
+	c := NewController(dumbbell(), hardware.Simulation())
+	path := []string{"A0", "MA", "MB", "B0"}
+	if _, ok := c.MemberPath("a"); ok {
+		t.Fatal("unknown circuit reported a path")
+	}
+	admitPath(c, "a", path, 2000, false)
+	got, ok := c.MemberPath("a")
+	if !ok || !slices.Equal(got, path) {
+		t.Fatalf("MemberPath(a) = %v, %v; want %v", got, ok, path)
+	}
+	c.Release("a")
+	if _, ok := c.MemberPath("a"); ok {
+		t.Fatal("released circuit still reports a path")
+	}
 }
 
 func TestNoPath(t *testing.T) {
@@ -76,7 +96,7 @@ func TestNoPath(t *testing.T) {
 	}
 }
 
-func TestPlanCircuitBudget(t *testing.T) {
+func TestPlaceProbeBudget(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
 	plan, err := probePlan(c, "A0", "B0", 0.8, CutoffLong, 0)
 	if err != nil {
@@ -204,7 +224,7 @@ func TestEnforceEERPopulatesBudget(t *testing.T) {
 
 // TestRefitAllocations pins the §4.4 membership math: each link's budget
 // (MaxLPR/2) splits equally across the circuits on the path's most
-// contended link, Admit/Release report exactly the members whose share
+// contended link, commits and Release report exactly the members whose share
 // changed (sorted), and fixed members occupy budget without being re-fit.
 func TestRefitAllocations(t *testing.T) {
 	c := NewController(dumbbell(), hardware.Simulation())
@@ -219,7 +239,7 @@ func TestRefitAllocations(t *testing.T) {
 	}
 
 	if refits := admitPath(c, "a", plan.Path, plan.MaxLPR, false); len(refits) != 0 {
-		t.Fatalf("first Admit re-fitted %v", refits)
+		t.Fatalf("first commit re-fitted %v", refits)
 	}
 	if got, ok := c.Allocation("a"); !ok || got != full {
 		t.Fatalf("Allocation(a) = %v, %v", got, ok)
@@ -235,7 +255,7 @@ func TestRefitAllocations(t *testing.T) {
 	}
 	refits := admitPath(c, "b", plan2.Path, plan2.MaxLPR, false)
 	if len(refits) != 1 || refits[0].Circuit != "a" || refits[0].MaxEER != full/2 {
-		t.Fatalf("Admit(b) refits = %+v, want a at %v", refits, full/2)
+		t.Fatalf("commit(b) refits = %+v, want a at %v", refits, full/2)
 	}
 
 	// A fixed member (caller-chosen cap) dilutes shares but is never
@@ -279,6 +299,6 @@ func TestRefitAllocations(t *testing.T) {
 		t.Fatalf("static prospective allocation = %v, want %v", sp2.MaxEER, full)
 	}
 	if refits := admitPath(s, "b", sp2.Path, sp2.MaxLPR, false); len(refits) != 0 {
-		t.Fatalf("static Admit re-fitted %v", refits)
+		t.Fatalf("static commit re-fitted %v", refits)
 	}
 }

@@ -7,9 +7,8 @@ import (
 
 // ExecRequest describes one backend execution: replicas 0..Replicas-1 of a
 // registered job kind, each a pure function of (Payload, replica, derived
-// seed). It is the typed form of the old positional Execute signature, with
-// room to grow (Timeout is the first addition) without breaking every
-// Backend implementation again.
+// seed). New request fields can be added without changing the Backend
+// interface.
 type ExecRequest struct {
 	// Kind names the registered job kind (RegisterKind) to execute.
 	Kind string
@@ -21,13 +20,16 @@ type ExecRequest struct {
 	// Options carry the run's seed, parallelism bound, progress callback
 	// and cancellation context.
 	Options Options
-	// Timeout is the per-worker liveness bound shared by every backend
-	// that can lose a worker: the Subprocess inactivity watchdog and the
-	// Fleet heartbeat grace resolve from this one knob. 0 falls back to
-	// the backend's own Timeout/Heartbeat field and then to the 10-minute
-	// default; negative disables liveness detection entirely.
+	// Timeout is the per-worker liveness bound of an out-of-process
+	// backend (the Fleet heartbeat bound). 0 falls back to the backend's
+	// own Heartbeat field and then to the 10-minute default; negative
+	// disables liveness detection entirely.
 	Timeout time.Duration
 }
+
+// defaultTimeout is the liveness bound when neither the request nor the
+// backend sets one.
+const defaultTimeout = 10 * time.Minute
 
 // timeout resolves the effective liveness bound: the request wins, then the
 // backend's configured default, then the package default. Negative at any
@@ -41,7 +43,7 @@ func (req ExecRequest) timeout(backendDefault time.Duration) time.Duration {
 	case d < 0:
 		return 0
 	case d == 0:
-		return defaultShardTimeout
+		return defaultTimeout
 	}
 	return d
 }
@@ -147,21 +149,4 @@ func (e *Execution) Leases() []Lease {
 		return nil
 	}
 	return e.leaseFn()
-}
-
-// Execute runs req's replicas on b and hands each result to sink in strict
-// replica order, blocking until the run is over — the positional contract
-// the Backend interface had before Dispatch.
-//
-// Deprecated: build an ExecRequest and call Backend.Dispatch; it exposes
-// the same ordered stream plus progress and lease state.
-func Execute(b Backend, o Options, kind string, payload []byte, replicas int, sink func(replica int, result []byte)) error {
-	ex, err := b.Dispatch(ExecRequest{Kind: kind, Payload: payload, Replicas: replicas, Options: o})
-	if err != nil {
-		return err
-	}
-	for r := range ex.Results() {
-		sink(r.Replica, r.Data)
-	}
-	return ex.Wait()
 }

@@ -8,40 +8,6 @@ import (
 	"time"
 )
 
-// TestDeprecatedExecuteWrapper pins the compatibility contract: the old
-// positional Execute keeps working on top of Dispatch — same results, same
-// strict order, same error surface.
-func TestDeprecatedExecuteWrapper(t *testing.T) {
-	const n = 7
-	payload := []byte(`"wrap"`)
-	want := executeAll(t, InProcess{}, Options{Seed: 3}, "test.echo", payload, n)
-	next := 0
-	//lint:ignore SA1019 the deprecated wrapper is exactly what this test pins
-	//qnetlint:allow nodeprecated the Execute shim's designated coverage: pins the wrapper's result/order/error contract until deletion
-	err := Execute(InProcess{}, Options{Seed: 3}, "test.echo", payload, n, func(replica int, result []byte) {
-		if replica != next {
-			t.Errorf("sink got replica %d, want %d", replica, next)
-		}
-		if string(result) != string(want[replica]) {
-			t.Errorf("replica %d = %s, want %s", replica, result, want[replica])
-		}
-		next++
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != n {
-		t.Fatalf("sink saw %d of %d replicas", next, n)
-	}
-
-	//lint:ignore SA1019 error passthrough of the deprecated wrapper
-	//qnetlint:allow nodeprecated the Execute shim's designated coverage: error passthrough half of the same pinned contract
-	err = Execute(InProcess{}, Options{}, "test.unregistered", nil, 1, func(int, []byte) {})
-	if err == nil || !strings.Contains(err.Error(), "unknown job kind") {
-		t.Fatalf("err = %v, want unknown-kind error", err)
-	}
-}
-
 // TestTimeoutResolution pins the one-knob liveness contract: the request's
 // Timeout wins, then the backend's configured default, then the package
 // default; negative at either level disables the watchdog.
@@ -49,7 +15,7 @@ func TestTimeoutResolution(t *testing.T) {
 	for _, tc := range []struct {
 		req, backend, want time.Duration
 	}{
-		{0, 0, defaultShardTimeout},
+		{0, 0, defaultTimeout},
 		{0, time.Minute, time.Minute},
 		{time.Second, time.Minute, time.Second},
 		{time.Second, 0, time.Second},
@@ -65,10 +31,16 @@ func TestTimeoutResolution(t *testing.T) {
 }
 
 // TestRequestTimeoutOverridesBackend: an ExecRequest.Timeout beats the
-// backend's own (here uselessly long) watchdog setting.
+// backend's own (here uselessly long) heartbeat bound. The replica SIGSTOPs
+// its worker, silencing results and heartbeats alike, so only the
+// request-level bound can end the run.
 func TestRequestTimeoutOverridesBackend(t *testing.T) {
-	sp := Subprocess{Shards: 1, Command: testWorkerCmd(), Timeout: time.Hour, Retries: -1}
-	ex, err := sp.Dispatch(ExecRequest{Kind: "test.hang", Replicas: 1, Options: Options{Seed: 1}, Timeout: 300 * time.Millisecond})
+	payload, _ := json.Marshal(struct {
+		Dir     string
+		Replica int
+	}{t.TempDir(), 0})
+	fl := Fleet{Endpoints: localEndpoints(1), Heartbeat: time.Hour, Retries: -1}
+	ex, err := fl.Dispatch(ExecRequest{Kind: "test.stop-once", Payload: payload, Replicas: 1, Options: Options{Seed: 1}, Timeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +48,8 @@ func TestRequestTimeoutOverridesBackend(t *testing.T) {
 	for range ex.Results() {
 	}
 	err = ex.Wait()
-	if err == nil || !strings.Contains(err.Error(), "no frame for 300ms") {
-		t.Fatalf("err = %v, want the request-level 300ms watchdog to fire", err)
+	if err == nil || !strings.Contains(err.Error(), "for 300ms") {
+		t.Fatalf("err = %v, want the request-level 300ms heartbeat bound to fire", err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("timeout took %v to fire", elapsed)
@@ -112,6 +84,28 @@ func TestExecutionProgressAndLeases(t *testing.T) {
 	}
 	if done, _ := ex.Progress(); done != n {
 		t.Errorf("final Progress done = %d, want %d", done, n)
+	}
+}
+
+// TestDispatchZeroReplicas: an empty request is over before it begins on
+// every backend — no results, no error, and no worker spawned (the fleet's
+// only endpoint could not even start one).
+func TestDispatchZeroReplicas(t *testing.T) {
+	dead := Fleet{Endpoints: []Endpoint{{Name: "dead", Command: []string{"/nonexistent/worker"}}}}
+	for name, b := range map[string]Backend{"in-process": InProcess{}, "fleet": dead} {
+		ex, err := b.Dispatch(ExecRequest{Kind: "test.echo", Replicas: 0})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for r := range ex.Results() {
+			t.Errorf("%s: empty run delivered replica %d", name, r.Replica)
+		}
+		if err := ex.Wait(); err != nil {
+			t.Errorf("%s: Wait = %v", name, err)
+		}
+		if done, total := ex.Progress(); done != 0 || total != 0 {
+			t.Errorf("%s: Progress = %d/%d, want 0/0", name, done, total)
+		}
 	}
 }
 

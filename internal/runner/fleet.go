@@ -2,11 +2,13 @@ package runner
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,9 +70,10 @@ type Fleet struct {
 	// enough to amortize process spawns.
 	ChunkSize int
 	// Heartbeat is the liveness bound: a leased worker silent (no result,
-	// no heartbeat frame) for this long is declared lost. Unlike the
-	// Subprocess watchdog it tolerates single replicas running longer
-	// than the bound, because workers heartbeat while computing.
+	// no heartbeat frame) for this long is declared lost. Single replicas
+	// may run longer than the bound, because workers heartbeat while
+	// computing; a replica that hangs while its process stays alive is
+	// therefore never killed, just as in the in-process pool.
 	// ExecRequest.Timeout, when set, overrides this; 0 means the
 	// 10-minute default; negative disables detection.
 	Heartbeat time.Duration
@@ -86,6 +89,23 @@ type Fleet struct {
 	// reported; a torn final record from a killed process is truncated
 	// and recovered from.
 	Journal string
+}
+
+// LocalFleet is a Fleet of n endpoints on this host, each re-execing the
+// current binary as a worker, with default chunking — the backend behind
+// -shards N. The in-process parallelism budget (workers, 0 = NumCPU) is
+// divided across the endpoints, ⌈workers/n⌉ each, so n worker processes
+// on one box do not oversubscribe it n-fold. Neither value affects
+// results, only wall-clock time.
+func LocalFleet(n, workers int) Fleet {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	eps := make([]Endpoint, n)
+	for i := range eps {
+		eps[i] = Endpoint{Name: fmt.Sprintf("local-%d", i), Workers: (workers + n - 1) / n}
+	}
+	return Fleet{Endpoints: eps}
 }
 
 const (
@@ -167,6 +187,49 @@ type fatalError struct{ err error }
 
 func (e fatalError) Error() string { return e.err.Error() }
 func (e fatalError) Unwrap() error { return e.err }
+
+// kindError marks a deterministic replica-level failure (a KindFunc error
+// reported by the worker) that retrying cannot fix.
+type kindError struct{ err error }
+
+func (e kindError) Error() string { return e.err.Error() }
+
+// collector buffers out-of-order chunk results and hands them to sink in
+// strict replica order — the cross-process analogue of Stream's ordered
+// emission — ticking Progress once per distinct replica, serialized.
+type collector struct {
+	mu       sync.Mutex
+	buf      [][]byte
+	ready    []bool
+	next     int
+	done     int
+	sink     func(replica int, result []byte)
+	progress func(done, total int)
+}
+
+func newCollector(replicas int, sink func(int, []byte), progress func(done, total int)) *collector {
+	return &collector{buf: make([][]byte, replicas), ready: make([]bool, replicas), sink: sink, progress: progress}
+}
+
+// add records one replica result; duplicates from a re-run chunk are
+// dropped (determinism makes them byte-identical re-runs).
+func (c *collector) add(replica int, b []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ready[replica] {
+		return
+	}
+	c.buf[replica], c.ready[replica] = b, true
+	c.done++
+	if c.progress != nil {
+		c.progress(c.done, len(c.buf))
+	}
+	for c.next < len(c.buf) && c.ready[c.next] {
+		c.sink(c.next, c.buf[c.next])
+		c.buf[c.next] = nil
+		c.next++
+	}
+}
 
 // Dispatch implements Backend.
 func (f Fleet) Dispatch(req ExecRequest) (*Execution, error) {
@@ -461,14 +524,16 @@ func (f Fleet) runChunk(ctx context.Context, ep Endpoint, req ExecRequest, ch ch
 		return nil
 	}()
 
-	if watchdog != nil {
-		watchdog.Stop()
-	}
 	stdin.Close()
 	if loopErr != nil {
 		cmd.Process.Kill()
 	}
+	// The watchdog stays armed until the worker is reaped: one that sends
+	// its last result and then never exits is killed, not waited on forever.
 	waitErr := cmd.Wait()
+	if watchdog != nil {
+		watchdog.Stop()
+	}
 
 	switch {
 	case loopErr != nil:
@@ -483,10 +548,46 @@ func (f Fleet) runChunk(ctx context.Context, ep Endpoint, req ExecRequest, ch ch
 	case waitErr != nil && seen < ch.count:
 		return seen, fmt.Errorf("worker on %s exited uncleanly (%s): %w", ep.Name, stderrNote(&stderr), waitErr)
 	}
-	// An unclean exit after the final result (including a watchdog that
-	// fired in the read/Stop window) leaves a complete chunk; re-running
-	// it would only reproduce the same bytes.
+	// An unclean exit after the final result (including a kill by the
+	// watchdog) leaves a complete chunk; re-running it would only
+	// reproduce the same bytes.
 	return seen, nil
+}
+
+// boundedBuffer keeps the head of a worker's stderr for error reports
+// without letting a chatty worker grow memory unboundedly.
+type boundedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+const maxStderr = 4 << 10
+
+func (b *boundedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if room := maxStderr - b.buf.Len(); room > 0 {
+		if len(p) > room {
+			b.buf.Write(p[:room])
+		} else {
+			b.buf.Write(p)
+		}
+	}
+	return len(p), nil
+}
+
+func (b *boundedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+func stderrNote(b *boundedBuffer) string {
+	s := bytes.TrimSpace([]byte(b.String()))
+	if len(s) == 0 {
+		return "no stderr"
+	}
+	return "stderr: " + string(s)
 }
 
 var _ Backend = Fleet{}

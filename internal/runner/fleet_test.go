@@ -18,7 +18,7 @@ import (
 func init() {
 	// test.stop-once: SIGSTOPs its own process on one replica, but only the
 	// first time (a marker file remembers) — the injected silent worker for
-	// the heartbeat-loss test. A stopped process sends no frames and no
+	// the heartbeat-loss and request-timeout tests. A stopped process sends no frames and no
 	// heartbeats but is still alive, which is exactly the failure mode the
 	// heartbeat watchdog exists to catch.
 	RegisterKind("test.stop-once", func(payload []byte, replica int, seed int64) ([]byte, error) {
@@ -34,6 +34,10 @@ func init() {
 			if _, err := os.Stat(marker); os.IsNotExist(err) {
 				os.WriteFile(marker, []byte("x"), 0o644)
 				syscall.Kill(syscall.Getpid(), syscall.SIGSTOP)
+				// The stop can land after kill returns; never answer from
+				// the stopped attempt, or its result could still reach
+				// the parent.
+				time.Sleep(time.Hour)
 			}
 		}
 		return json.Marshal(replica)
@@ -65,6 +69,146 @@ func localEndpoints(n int) []Endpoint {
 	return eps
 }
 
+// TestLocalFleet: the -shards N backend is N local endpoints sharing the
+// worker budget, ⌈workers/N⌉ each, and it still matches the in-process
+// pool when re-execing (here) the test binary.
+func TestLocalFleet(t *testing.T) {
+	for _, tc := range []struct{ n, workers, per int }{
+		{1, 4, 4}, {3, 4, 2}, {3, 3, 1}, {4, 1, 1},
+	} {
+		fl := LocalFleet(tc.n, tc.workers)
+		if len(fl.Endpoints) != tc.n {
+			t.Fatalf("LocalFleet(%d, %d) has %d endpoints", tc.n, tc.workers, len(fl.Endpoints))
+		}
+		for _, ep := range fl.Endpoints {
+			if ep.Workers != tc.per || len(ep.Command) != 0 {
+				t.Errorf("LocalFleet(%d, %d) endpoint %+v, want %d workers re-execing this binary", tc.n, tc.workers, ep, tc.per)
+			}
+		}
+	}
+	const n = 7
+	payload := []byte(`"local"`)
+	want := executeAll(t, InProcess{}, Options{Seed: 13}, "test.echo", payload, n)
+	got := executeAll(t, LocalFleet(3, 0), Options{Seed: 13}, "test.echo", payload, n)
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("replica %d = %s, want %s", i, got[i], want[i])
+		}
+	}
+}
+
+// The TestSubprocess* tests pin what -shards N promises about its worker
+// subprocesses, driven through LocalFleet exactly as the binaries build it
+// (default chunking, split worker budget).
+
+// TestSubprocessShardCountInvariance is the process-sharded analogue of
+// worker-count invariance: any shard count, including more shards than
+// replicas, yields byte-identical results in identical order.
+func TestSubprocessShardCountInvariance(t *testing.T) {
+	const n = 11
+	payload := []byte(`"inv"`)
+	want := executeAll(t, InProcess{}, Options{Seed: 7}, "test.echo", payload, n)
+	for _, shards := range []int{1, 2, 3, 5, n + 3} {
+		got := executeAll(t, LocalFleet(shards, 2), Options{Seed: 7}, "test.echo", payload, n)
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("shards=%d: replica %d = %s, want %s", shards, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSubprocessProgressTicks: -shards N honours Options.Progress exactly
+// like the in-process pool — one serialized tick per replica.
+func TestSubprocessProgressTicks(t *testing.T) {
+	const n = 9
+	var mu sync.Mutex
+	var ticks []int
+	err := executeErr(LocalFleet(3, 0), Options{Seed: 1, Progress: func(done, total int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if total != n {
+			t.Errorf("progress total = %d, want %d", total, n)
+		}
+		ticks = append(ticks, done)
+	}}, "test.echo", []byte(`"pg"`), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ticks) != n {
+		t.Fatalf("progress ticked %d times, want %d (%v)", len(ticks), n, ticks)
+	}
+	for i, d := range ticks {
+		if d != i+1 {
+			t.Fatalf("tick %d reported done=%d, want %d", i, d, i+1)
+		}
+	}
+}
+
+func TestSubprocessCrashMidShardIsRetried(t *testing.T) {
+	dir := t.TempDir()
+	payload, _ := json.Marshal(struct {
+		Dir     string
+		Replica int
+	}{dir, 4})
+	got := executeAll(t, LocalFleet(3, 0), Options{Seed: 1}, "test.crash-once", payload, 9)
+	for i := range got {
+		var v int
+		if err := json.Unmarshal(got[i], &v); err != nil || v != i {
+			t.Errorf("replica %d = %s (err %v)", i, got[i], err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "crashed")); err != nil {
+		t.Fatal("the injected crash never fired; the retry path was not exercised")
+	}
+}
+
+func TestSubprocessPersistentCrashFailsTheRun(t *testing.T) {
+	payload, _ := json.Marshal(2)
+	err := executeErr(LocalFleet(2, 0), Options{Seed: 1}, "test.crash-always", payload, 6)
+	if err == nil {
+		t.Fatal("run succeeded despite a deterministic worker crash")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "failed after 3 attempts") || !strings.Contains(msg, "replicas 2-") {
+		t.Errorf("error does not identify the failing chunk and attempts: %v", err)
+	}
+}
+
+func TestSubprocessKindErrorFailsWithoutRetry(t *testing.T) {
+	payload, _ := json.Marshal(3)
+	err := executeErr(LocalFleet(1, 0), Options{Seed: 1}, "test.fail", payload, 5)
+	if err == nil || !strings.Contains(err.Error(), "synthetic kind failure") {
+		t.Fatalf("err = %v, want the replica's own failure", err)
+	}
+	if !strings.Contains(err.Error(), "replica 3") {
+		t.Errorf("error does not name the failing replica: %v", err)
+	}
+}
+
+// TestSubprocessInactivityTimeout: -worker-timeout on -shards bounds how
+// long a worker may stay silent. A worker that SIGSTOPs itself sends
+// neither results nor heartbeats; with retries off, the bound fails the
+// run promptly.
+func TestSubprocessInactivityTimeout(t *testing.T) {
+	payload, _ := json.Marshal(struct {
+		Dir     string
+		Replica int
+	}{t.TempDir(), 0})
+	fl := LocalFleet(1, 1)
+	fl.Heartbeat, fl.Retries = 300*time.Millisecond, -1
+	start := time.Now()
+	err := executeErr(fl, Options{Seed: 1}, "test.stop-once", payload, 1)
+	if err == nil || !strings.Contains(err.Error(), "heartbeat lost") || !strings.Contains(err.Error(), "for 300ms") {
+		t.Fatalf("err = %v, want an inactivity-timeout error", err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("timeout took %v to fire", elapsed)
+	}
+}
+
 func TestFleetNoEndpoints(t *testing.T) {
 	_, err := Fleet{}.Dispatch(ExecRequest{Kind: "test.echo", Replicas: 1})
 	if err == nil || !strings.Contains(err.Error(), "no endpoints") {
@@ -74,13 +218,14 @@ func TestFleetNoEndpoints(t *testing.T) {
 
 // TestFleetMatchesInProcess is the core invariant: a multi-endpoint
 // work-stealing fleet produces byte-identical results in identical order to
-// the in-process pool, for several endpoint and chunk geometries.
+// the in-process pool, for several endpoint and chunk geometries —
+// including more endpoints than replicas.
 func TestFleetMatchesInProcess(t *testing.T) {
 	const n = 13
 	payload := []byte(`"fleet"`)
 	want := executeAll(t, InProcess{}, Options{Seed: 11}, "test.echo", payload, n)
 	for _, tc := range []struct{ endpoints, chunk int }{
-		{1, 0}, {2, 2}, {3, 1}, {4, 5},
+		{1, 0}, {2, 2}, {3, 1}, {4, 5}, {n + 3, 0},
 	} {
 		fl := Fleet{Endpoints: localEndpoints(tc.endpoints), ChunkSize: tc.chunk}
 		got := executeAll(t, fl, Options{Seed: 11}, "test.echo", payload, n)
@@ -178,6 +323,45 @@ func TestFleetHeartbeatLossRequeues(t *testing.T) {
 	}
 }
 
+// TestFleetContextCancelledBeforeDispatch: a run whose context is already
+// done starts no chunk and reports the caller's context error.
+func TestFleetContextCancelledBeforeDispatch(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	fl := Fleet{Endpoints: localEndpoints(2)}
+	ex, err := fl.Dispatch(ExecRequest{Kind: "test.echo", Payload: []byte(`"c"`), Replicas: 8, Options: Options{Seed: 1, Context: ctx}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range ex.Results() {
+		t.Errorf("cancelled run delivered replica %d", r.Replica)
+	}
+	if err := ex.Wait(); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFleetReapsWorkerStuckAfterResults: a worker that delivers every
+// result but never exits is killed by the heartbeat bound, and its chunk
+// counts as complete.
+func TestFleetReapsWorkerStuckAfterResults(t *testing.T) {
+	const n = 4
+	payload := []byte(`"stuck"`)
+	want := executeAll(t, InProcess{}, Options{Seed: 19}, "test.echo", payload, n)
+	cmd := testWorkerCmd()
+	eps := []Endpoint{{
+		Name:    "stuck",
+		Command: []string{"/bin/sh", "-c", `"$0" "$1"; exec sleep 3600`, cmd[0], cmd[1]},
+	}}
+	fl := Fleet{Endpoints: eps, ChunkSize: n, Heartbeat: 300 * time.Millisecond, Retries: -1}
+	got := executeAll(t, fl, Options{Seed: 19}, "test.echo", payload, n)
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("replica %d = %s, want %s", i, got[i], want[i])
+		}
+	}
+}
+
 func TestFleetKindErrorFailsWithoutRetry(t *testing.T) {
 	payload, _ := json.Marshal(3)
 	fl := Fleet{Endpoints: localEndpoints(2), ChunkSize: 2}
@@ -241,6 +425,27 @@ func TestFleetRemoteStyleCommand(t *testing.T) {
 	for i := range want {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Errorf("replica %d = %s, want %s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestFleetErrorCarriesWorkerStderr: a failed chunk's error quotes the
+// worker's stderr, capped at maxStderr bytes so a chatty worker cannot
+// grow the parent's memory.
+func TestFleetErrorCarriesWorkerStderr(t *testing.T) {
+	for _, tc := range []struct {
+		name, script, want string
+	}{
+		{"short", `echo "worker exploded" >&2; exit 1`, "stderr: worker exploded"},
+		{"long", `head -c 10000 /dev/zero | tr '\0' x >&2; exit 1`, strings.Repeat("x", maxStderr)},
+	} {
+		fl := Fleet{Endpoints: []Endpoint{{Name: tc.name, Command: []string{"/bin/sh", "-c", tc.script}}}, Retries: -1}
+		err := executeErr(fl, Options{Seed: 1}, "test.echo", []byte(`"e"`), 2)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %.200v, want it to quote %.40q", tc.name, err, tc.want)
+		}
+		if strings.Contains(err.Error(), strings.Repeat("x", maxStderr+1)) {
+			t.Errorf("%s: error quotes more than %d bytes of stderr", tc.name, maxStderr)
 		}
 	}
 }
@@ -462,47 +667,42 @@ func TestFleetJournalJobMismatch(t *testing.T) {
 }
 
 // TestProgressSingleTickUnderShardRetry pins the Progress contract under
-// retries: a retried shard re-runs replicas whose results already arrived,
+// retries: a re-leased chunk re-runs replicas whose results already arrived,
 // and the collector must tick done exactly once per distinct replica — the
 // sequence is 1..n with no repeats regardless of crash history.
 func TestProgressSingleTickUnderShardRetry(t *testing.T) {
-	for name, mk := range map[string]func() Backend{
-		"subprocess": func() Backend { return Subprocess{Shards: 3, Command: testWorkerCmd()} },
-		"fleet":      func() Backend { return Fleet{Endpoints: localEndpoints(2), ChunkSize: 3} },
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			payload, _ := json.Marshal(struct {
-				Dir     string
-				Replica int
-			}{dir, 4})
-			const n = 9
-			var mu sync.Mutex
-			var ticks []int
-			err := executeErr(mk(), Options{Seed: 1, Progress: func(done, total int) {
-				mu.Lock()
-				defer mu.Unlock()
-				if total != n {
-					t.Errorf("progress total = %d, want %d", total, n)
-				}
-				ticks = append(ticks, done)
-			}}, "test.crash-once", payload, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, "crashed")); err != nil {
-				t.Fatal("the injected crash never fired; the retry path was not exercised")
-			}
+	t.Run("fleet", func(t *testing.T) {
+		dir := t.TempDir()
+		payload, _ := json.Marshal(struct {
+			Dir     string
+			Replica int
+		}{dir, 4})
+		const n = 9
+		var mu sync.Mutex
+		var ticks []int
+		err := executeErr(Fleet{Endpoints: localEndpoints(2), ChunkSize: 3}, Options{Seed: 1, Progress: func(done, total int) {
 			mu.Lock()
 			defer mu.Unlock()
-			if len(ticks) != n {
-				t.Fatalf("progress ticked %d times, want %d (%v)", len(ticks), n, ticks)
+			if total != n {
+				t.Errorf("progress total = %d, want %d", total, n)
 			}
-			for i, d := range ticks {
-				if d != i+1 {
-					t.Fatalf("tick %d reported done=%d, want %d (a retried replica double-ticked)", i, d, i+1)
-				}
+			ticks = append(ticks, done)
+		}}, "test.crash-once", payload, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "crashed")); err != nil {
+			t.Fatal("the injected crash never fired; the retry path was not exercised")
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(ticks) != n {
+			t.Fatalf("progress ticked %d times, want %d (%v)", len(ticks), n, ticks)
+		}
+		for i, d := range ticks {
+			if d != i+1 {
+				t.Fatalf("tick %d reported done=%d, want %d (a retried replica double-ticked)", i, d, i+1)
 			}
-		})
-	}
+		}
+	})
 }

@@ -9,20 +9,20 @@ import (
 	"time"
 )
 
-// The shard worker protocol: every message is a frame of a 4-byte
-// big-endian length followed by that many bytes of JSON. The parent sends
-// exactly one jobFrame on the worker's stdin and closes it; the worker
-// answers with one resultFrame per replica on stdout, in ascending replica
-// order, and exits 0. Any other behaviour — short read, oversized frame,
-// nonzero exit, silence past the inactivity timeout — counts as a shard
-// crash, which the parent may retry because replicas are pure functions of
-// (payload, replica, seed).
+// The worker protocol: every message is a frame of a 4-byte big-endian
+// length followed by that many bytes of JSON. The parent sends exactly one
+// jobFrame on the worker's stdin and closes it; the worker answers with one
+// resultFrame per replica on stdout, in ascending replica order, and exits
+// 0. Any other behaviour — short read, oversized frame, nonzero exit,
+// silence past the liveness bound — counts as a worker crash, which the
+// parent may retry because replicas are pure functions of (payload,
+// replica, seed).
 
 // maxFrame bounds a frame so a corrupted length prefix fails fast instead
 // of attempting a multi-gigabyte allocation.
 const maxFrame = 1 << 28
 
-// jobFrame is the single parent→worker message: one shard of a run.
+// jobFrame is the single parent→worker message: one chunk of a run.
 type jobFrame struct {
 	// Kind names the registered job kind to execute.
 	Kind string
@@ -31,17 +31,16 @@ type jobFrame struct {
 	// Seed is the run's base seed: replica i (global index) runs with
 	// DeriveSeed(Seed, i), exactly as in-process replicas do.
 	Seed int64
-	// Start and Count delimit this shard's contiguous global replica range
+	// Start and Count delimit this chunk's contiguous global replica range
 	// [Start, Start+Count).
 	Start, Count int
-	// Workers bounds the shard's in-process parallelism (0 = NumCPU).
+	// Workers bounds the worker's in-process parallelism (0 = NumCPU).
 	Workers int
 	// Heartbeat, when positive, asks the worker to interleave a heartbeat
 	// frame at this interval while replicas are in flight — the Fleet
 	// liveness protocol, which tolerates replicas longer than the liveness
 	// bound while still detecting dead processes and partitioned hosts.
-	// Zero keeps the classic results-only stream (Subprocess), where the
-	// result frames themselves are the liveness signal.
+	// Zero (liveness detection disabled) sends results only.
 	Heartbeat time.Duration `json:",omitempty"`
 }
 
@@ -52,7 +51,7 @@ type resultFrame struct {
 	// Result is the replica's encoded result when Err is empty.
 	Result []byte
 	// Err reports a KindFunc error. Kind errors are deterministic, so the
-	// parent fails the run rather than retrying the shard.
+	// parent fails the run rather than retrying the chunk.
 	Err string `json:",omitempty"`
 	// Heartbeat marks a liveness-only frame: no replica, no result — it
 	// exists solely to reset the reader's watchdog (see jobFrame.Heartbeat).

@@ -9,16 +9,16 @@ import (
 	"time"
 )
 
-// WorkerFlag is the hidden argv sentinel that switches a binary into shard
+// WorkerFlag is the hidden argv sentinel that switches a binary into
 // worker mode. It is deliberately not a registered flag.FlagSet member:
-// workers are spawned only by the Subprocess backend, never by hand.
+// workers are spawned only by Fleet endpoints, never by hand.
 const WorkerFlag = "-runner-worker"
 
-// MaybeWorker turns the current process into a shard worker when it was
-// spawned with WorkerFlag as its first argument: it serves one jobFrame on
-// stdin/stdout and exits. Binaries that offer a Subprocess backend must
-// call it first in main, before flag parsing. In a normal invocation it is
-// a no-op.
+// MaybeWorker turns the current process into a worker when it was spawned
+// with WorkerFlag as its first argument: it serves one jobFrame on
+// stdin/stdout and exits. Binaries that offer the Fleet backend must call
+// it first in main, before flag parsing. In a normal invocation it is a
+// no-op.
 func MaybeWorker() {
 	if len(os.Args) < 2 || os.Args[1] != WorkerFlag {
 		return
@@ -30,12 +30,12 @@ func MaybeWorker() {
 	os.Exit(0)
 }
 
-// WorkerMain is the shard worker loop: it reads one jobFrame from r, runs
-// the shard's replicas through the in-process pool, writes one resultFrame
-// per replica to w in ascending replica order, and returns. Replica i of
-// the shard (global index Start+i) runs with DeriveSeed(Seed, Start+i) —
-// the same seed it would get in-process, which is what makes sharded runs
-// bit-identical.
+// WorkerMain is the worker loop: it reads one jobFrame from r, runs the
+// chunk's replicas through the in-process pool, writes one resultFrame per
+// replica to w in ascending replica order, and returns. Replica i of the
+// chunk (global index Start+i) runs with DeriveSeed(Seed, Start+i) — the
+// same seed it would get in-process, which is what makes out-of-process
+// runs bit-identical.
 //
 // Every frame is flushed as it is written, so the parent's watchdog sees
 // results the moment they exist; when the job asks for heartbeats

@@ -389,9 +389,9 @@ func TestRunErrorPathsStampMetrics(t *testing.T) {
 }
 
 // TestChurnSpecRoundTripAndSharding proves churn scenarios are fully
-// declarative: the spec JSON round-trips, and the same scenario produces
-// byte-identical metrics whether replicas run in-process or through the
-// subprocess backend (exercised further by the figures CI gate).
+// declarative: the spec JSON round-trips, and the round-tripped scenario —
+// what a worker process rebuilds — runs identically to the original
+// (exercised across processes by the figures CI gate).
 func TestChurnSpecRoundTripAndSharding(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EnforceEER = true

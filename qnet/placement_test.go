@@ -4,46 +4,27 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 
 	"qnp/internal/runner"
 	"qnp/internal/sim"
 )
 
-// TestAllocPolicyResolution pins the deprecated-bool migration: the old
-// StaticAllocation flag means AllocStatic only while Alloc is left at its
-// default, and an explicit Alloc always wins.
+// TestAllocPolicyResolution: every Config.Alloc value, the count-split
+// zero value included, reaches the controller unchanged.
 func TestAllocPolicyResolution(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want AllocationPolicy
-	}{
-		{Config{}, AllocCountSplit},
-		//qnetlint:allow nodeprecated the StaticAllocation shim's designated coverage: precedence vs the Alloc enum
-		{Config{StaticAllocation: true}, AllocStatic},
-		{Config{Alloc: AllocModelWeighted}, AllocModelWeighted},
-		//qnetlint:allow nodeprecated the StaticAllocation shim's designated coverage: an explicit Alloc wins over the bool
-		{Config{Alloc: AllocModelWeighted, StaticAllocation: true}, AllocModelWeighted},
-		{Config{Alloc: AllocStatic}, AllocStatic},
-	}
-	for _, c := range cases {
-		if got := c.cfg.allocPolicy(); got != c.want {
-			//qnetlint:allow nodeprecated diagnostic output of the designated StaticAllocation coverage
-			t.Errorf("allocPolicy(Alloc=%v, StaticAllocation=%v) = %v, want %v", c.cfg.Alloc, c.cfg.StaticAllocation, got, c.want)
+	for _, policy := range []AllocationPolicy{AllocCountSplit, AllocModelWeighted, AllocStatic} {
+		cfg := DefaultConfig()
+		cfg.Alloc = policy
+		if got := New(cfg).Controller.Policy; got != policy {
+			t.Errorf("Alloc %v reached the controller as %v", policy, got)
 		}
-	}
-	// The resolved policy reaches the controller.
-	cfg := DefaultConfig()
-	//qnetlint:allow nodeprecated the StaticAllocation shim's designated coverage: the bool must reach the controller policy
-	cfg.StaticAllocation = true
-	if net := New(cfg); net.Controller.Policy != AllocStatic {
-		t.Errorf("controller policy = %v, want AllocStatic", net.Controller.Policy)
 	}
 }
 
 // TestSpecRoundTripsPlacementFields: Candidates and the allocation policy
-// survive the scenario wire format, and a legacy JSON spec carrying only
-// the old StaticAllocation bool still decodes to a static-allocation run.
+// survive the scenario wire format.
 func TestSpecRoundTripsPlacementFields(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EnforceEER = true
@@ -80,25 +61,34 @@ func TestSpecRoundTripsPlacementFields(t *testing.T) {
 	if len(sc2.Circuits) != 1 || sc2.Circuits[0].Candidates != 3 {
 		t.Errorf("Candidates did not round-trip: %+v", sc2.Circuits)
 	}
+}
 
-	// A spec written before the enum existed: the bool alone must still
-	// mean static allocation. The legacy field arrives through the wire
-	// format — JSON is where old specs live — so the test needs no
-	// source-level use of the deprecated Go field.
-	var legacy ScenarioSpec
-	if err := json.Unmarshal(raw, &legacy); err != nil {
-		t.Fatal(err)
-	}
-	legacy.Config.Alloc = AllocCountSplit
-	if err := json.Unmarshal([]byte(`{"StaticAllocation": true}`), &legacy.Config); err != nil {
-		t.Fatal(err)
-	}
-	lsc, err := legacy.Scenario()
+// TestScenarioJobRejectsUnknownFields: a worker refuses a spec carrying a
+// field this build does not know. The fixture is a spec written before
+// the allocation policy became the Config.Alloc enum: it carries the
+// retired boolean switch, which a lenient decoder would drop, silently
+// running count-split allocation instead of static. With the unknown
+// field stripped (a lenient round trip) the same spec runs, so the field
+// is the only reason for the rejection.
+func TestScenarioJobRejectsUnknownFields(t *testing.T) {
+	legacy, err := os.ReadFile("testdata/legacy-alloc-bool-spec.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsc.Config.allocPolicy() != AllocStatic {
-		t.Errorf("legacy StaticAllocation bool lost its meaning: %v", lsc.Config.allocPolicy())
+	_, err = runScenarioJob(legacy, 0, 1)
+	if err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Fatalf("err = %v, want an unknown-field decode error", err)
+	}
+	var spec ScenarioSpec
+	if err := json.Unmarshal(legacy, &spec); err != nil {
+		t.Fatal(err)
+	}
+	stripped, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runScenarioJob(stripped, 0, 1); err != nil {
+		t.Fatalf("stripped spec rejected: %v", err)
 	}
 }
 
@@ -155,7 +145,7 @@ func TestNonEnforcingChurnEmitsNoUpdateTraffic(t *testing.T) {
 // TestPlacementDeterminismAcrossBackends: k-candidate, model-weighted
 // placement under churn must stay a pure function of the scenario value
 // and seed — bit-identical metrics from the in-process pool, the InProcess
-// backend and subprocess sharding at 1 and 3 shards.
+// backend and local fleets of 1 and 3 worker processes.
 func TestPlacementDeterminismAcrossBackends(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EnforceEER = true
@@ -195,8 +185,8 @@ func TestPlacementDeterminismAcrossBackends(t *testing.T) {
 	}
 	backends := map[string]runner.Backend{
 		"in-process": runner.InProcess{},
-		"shards-1":   runner.Subprocess{Shards: 1, Command: []string{os.Args[0], runner.WorkerFlag}},
-		"shards-3":   runner.Subprocess{Shards: 3, Command: []string{os.Args[0], runner.WorkerFlag}},
+		"shards-1":   runner.LocalFleet(1, 0),
+		"shards-3":   runner.LocalFleet(3, 0),
 		"fleet-2": runner.Fleet{Endpoints: []runner.Endpoint{
 			{Name: "a", Command: []string{os.Args[0], runner.WorkerFlag}},
 			{Name: "b", Command: []string{os.Args[0], runner.WorkerFlag}},

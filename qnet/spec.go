@@ -1,6 +1,7 @@
 package qnet
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,9 +19,9 @@ import (
 // replica, and ship its Metrics back. Workloads and selectors are interface
 // values, so they travel by name through registries (the built-ins are
 // pre-registered; applications add their own with RegisterWorkload /
-// RegisterSelector). The registration is what makes process-sharded
-// execution (runner.Subprocess) able to run "any scenario from bytes"
-// while staying bit-identical to in-process runs.
+// RegisterSelector). The registration is what makes out-of-process
+// execution (runner.Fleet) able to run "any scenario from bytes" while
+// staying bit-identical to in-process runs.
 
 // ScenarioJobKind is the runner job kind under which scenario replicas
 // execute on a Backend: payload = ScenarioSpec JSON, result = Metrics JSON.
@@ -33,9 +34,13 @@ func init() {
 // runScenarioJob executes one scenario replica from its serialized spec —
 // the worker-process half of Scenario.RunReplicated's Backend path. Run
 // errors become Metrics.Err, mirroring the in-process replica semantics.
+// Unknown fields are a decode error: a spec written against fields this
+// build no longer has would otherwise run as a different scenario.
 func runScenarioJob(payload []byte, _ int, seed int64) ([]byte, error) {
 	var spec ScenarioSpec
-	if err := json.Unmarshal(payload, &spec); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		return nil, fmt.Errorf("decode ScenarioSpec: %w", err)
 	}
 	sc, err := spec.Scenario()

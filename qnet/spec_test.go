@@ -15,8 +15,8 @@ import (
 	"qnp/internal/sim"
 )
 
-// TestMain doubles as the shard worker entrypoint for the subprocess
-// equivalence tests, which re-exec this test binary behind WorkerFlag.
+// TestMain doubles as the worker entrypoint for the backend equivalence
+// tests, whose fleets re-exec this test binary behind WorkerFlag.
 func TestMain(m *testing.M) {
 	runner.MaybeWorker()
 	os.Exit(m.Run())
@@ -268,9 +268,9 @@ func shardedScenario() Scenario {
 
 // TestRunReplicatedBackendEquivalence is the scenario-level shard-count
 // invariance proof: the in-process pool, the InProcess backend (bytes
-// codec, same process), Subprocess at several shard counts, and a
-// work-stealing Fleet (uniform and with a throttled endpoint) must produce
-// bit-identical metrics in identical order.
+// codec, same process), local fleets of 1 and 3 worker processes, and a
+// work-stealing Fleet with a throttled endpoint must produce bit-identical
+// metrics in identical order.
 func TestRunReplicatedBackendEquivalence(t *testing.T) {
 	sc := shardedScenario()
 	const replicas = 6
@@ -288,8 +288,8 @@ func TestRunReplicatedBackendEquivalence(t *testing.T) {
 	worker := []string{os.Args[0], runner.WorkerFlag}
 	backends := map[string]runner.Backend{
 		"in-process": runner.InProcess{},
-		"shards-1":   runner.Subprocess{Shards: 1, Command: worker},
-		"shards-3":   runner.Subprocess{Shards: 3, Command: worker},
+		"shards-1":   runner.LocalFleet(1, 0),
+		"shards-3":   runner.LocalFleet(3, 0),
 		"fleet-2": runner.Fleet{Endpoints: []runner.Endpoint{
 			{Name: "a", Command: worker},
 			{Name: "b", Command: worker, Throttle: 20 * time.Millisecond},
