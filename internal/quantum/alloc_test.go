@@ -133,25 +133,6 @@ func TestMeasureInBasisWMatches(t *testing.T) {
 	}
 }
 
-func TestLiftIntoMatchesLift(t *testing.T) {
-	for n := 1; n <= 4; n++ {
-		for target := 0; target < n; target++ {
-			want := Lift1(Y, target, n)
-			got := Lift1Into(linalg.New(1<<n, 1<<n), Y, target, n)
-			if linalg.MaxAbsDiff(got, want) != 0 {
-				t.Errorf("Lift1Into(Y,%d,%d) differs", target, n)
-			}
-		}
-		for target := 0; target+1 < n; target++ {
-			want := Lift2(CNOT, target, n)
-			got := Lift2Into(linalg.New(1<<n, 1<<n), CNOT, target, n)
-			if linalg.MaxAbsDiff(got, want) != 0 {
-				t.Errorf("Lift2Into(CNOT,%d,%d) differs", target, n)
-			}
-		}
-	}
-}
-
 func TestBellProjectorCachedReadOnlyValue(t *testing.T) {
 	for b := BellIndex(0); b < 4; b++ {
 		if linalg.MaxAbsDiff(BellProjectorCached(b), BellProjector(b)) != 0 {

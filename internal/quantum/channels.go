@@ -2,7 +2,6 @@ package quantum
 
 import (
 	"math"
-	"sync"
 
 	"qnp/internal/linalg"
 )
@@ -11,8 +10,9 @@ import (
 // operators: ρ → Σ K ρ K†.
 type Kraus []*linalg.Matrix
 
-// Apply applies the channel to qubit target of an n-qubit density matrix.
-// The Kraus operators must be single-qubit (2×2).
+// Apply applies the channel to the qubits starting at target of an n-qubit
+// density matrix: one qubit for 2×2 Kraus operators, the adjacent pair
+// (target, target+1) for 4×4 ones.
 func (k Kraus) Apply(rho *linalg.Matrix, target, n int) *linalg.Matrix {
 	return k.ApplyW(nil, rho, target, n)
 }
@@ -21,116 +21,69 @@ func (k Kraus) Apply(rho *linalg.Matrix, target, n int) *linalg.Matrix {
 // result is a fresh ws matrix owned by the caller. ρ is untouched. A nil ws
 // falls back to plain allocation.
 func (k Kraus) ApplyW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int) *linalg.Matrix {
-	return applyKrausW(ws, rho, k, target, n, false)
+	return applyKrausW(ws, rho, k, target, n)
 }
 
-// Apply2 applies a two-qubit channel (4×4 Kraus operators) to adjacent
-// qubits (target, target+1) of an n-qubit density matrix.
-func (k Kraus) Apply2(rho *linalg.Matrix, target, n int) *linalg.Matrix {
-	return k.Apply2W(nil, rho, target, n)
-}
-
-// Apply2W is the workspace-threaded Apply2; see ApplyW.
-func (k Kraus) Apply2W(ws *linalg.Workspace, rho *linalg.Matrix, target, n int) *linalg.Matrix {
-	return applyKrausW(ws, rho, k, target, n, true)
-}
-
-// applyKrausW lifts each operator into ws scratch and accumulates
-// Σ K ρ K† into a fresh ws matrix, preserving Apply's exact accumulation
-// order so allocating and pooled paths are bit-identical.
-func applyKrausW(ws *linalg.Workspace, rho *linalg.Matrix, ops []*linalg.Matrix, target, n int, two bool) *linalg.Matrix {
-	out := ws.Get(rho.Rows, rho.Cols)
-	lift := ws.GetRaw(rho.Rows, rho.Cols)
-	for _, op := range ops {
-		if two {
-			Lift2Into(lift, op, target, n)
-		} else {
-			Lift1Into(lift, op, target, n)
-		}
-		c := conjugateW(ws, lift, rho)
-		out.AddInPlace(c)
-		ws.Put(c)
-	}
-	ws.Put(lift)
-	return out
-}
-
-// liftedKraus is a channel pre-lifted to its full n-qubit operators with
-// precomputed adjoints — the form the hot path applies directly, with no
-// per-call lifting. Instances live in the global cache and are read-only.
-type liftedKraus struct {
-	ops, adj []*linalg.Matrix
-}
-
-// applyW accumulates Σ K ρ K† into a fresh ws matrix using the pre-lifted
-// operators. Accumulation order matches Kraus.Apply exactly.
-func (lk *liftedKraus) applyW(ws *linalg.Workspace, rho *linalg.Matrix) *linalg.Matrix {
+// applyKrausW accumulates Σ K ρ K† into a fresh ws matrix, one local
+// conjugation per operator, in operator order.
+func applyKrausW(ws *linalg.Workspace, rho *linalg.Matrix, ops []*linalg.Matrix, target, n int) *linalg.Matrix {
 	out := ws.Get(rho.Rows, rho.Cols)
 	tmp := ws.GetRaw(rho.Rows, rho.Cols)
 	c := ws.GetRaw(rho.Rows, rho.Cols)
-	for i := range lk.ops {
-		linalg.MulInto(tmp, lk.ops[i], rho)
-		linalg.MulInto(c, tmp, lk.adj[i])
-		out.AddInPlace(c)
+	for _, op := range ops {
+		out.AddInPlace(conjugateLocalInto(c, tmp, op, rho, target, n))
 	}
 	ws.Put(tmp)
 	ws.Put(c)
 	return out
 }
 
-// depKey identifies a cached lifted depolarising channel. The probability is
-// part of the key; each device uses one fixed gate-noise probability, so the
-// cache stays tiny.
-type depKey struct {
-	p         float64
-	target, n int
-	two       bool
+// applyDepolarizingW applies Depolarizing1(p) (qubits = 1) or
+// Depolarizing2(p) (qubits = 2) like applyKrausW, building one Kraus
+// operator at a time in ws scratch with the constructors' arithmetic.
+func applyDepolarizingW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, target, n, qubits int) *linalg.Matrix {
+	p = clamp01(p)
+	d := 1 << qubits
+	op := ws.GetRaw(d, d)
+	out := ws.Get(rho.Rows, rho.Cols)
+	tmp := ws.GetRaw(rho.Rows, rho.Cols)
+	c := ws.GetRaw(rho.Rows, rho.Cols)
+	for i := 0; i < d*d; i++ {
+		out.AddInPlace(conjugateLocalInto(c, tmp, depolarizingOpInto(op, p, i), rho, target, n))
+	}
+	ws.Put(op)
+	ws.Put(tmp)
+	ws.Put(c)
+	return out
 }
 
-// depCache maps depKey → *liftedKraus. It is shared by all simulations
-// (parallel replicas included); entries are immutable once stored, and the
-// cached values are computed by the same constructors the allocating path
-// uses, so results are bit-identical. A typed map under RWMutex (rather
-// than sync.Map) keeps the hot-path lookup allocation-free: sync.Map would
-// box the struct key on every Load.
-var depCache = struct {
-	sync.RWMutex
-	m map[depKey]*liftedKraus
-}{m: make(map[depKey]*liftedKraus)}
+// depolarizingOpInto writes Kraus operator i of the d-dimensional
+// depolarising channel ρ → (1−p)ρ + p·I/d into dst (d×d, d = 2 or 4) and
+// returns it: √(1 − (d²−1)p/d²)·I for i = 0, otherwise √(p/d²)·Pᵢ for the
+// i-th Pauli string in lexicographic order. p must already be clamped.
+func depolarizingOpInto(dst *linalg.Matrix, p float64, i int) *linalg.Matrix {
+	m := float64(dst.Rows * dst.Rows)
+	w := p / m
+	if i == 0 {
+		w = 1 - (m-1)*p/m
+	}
+	s := complex(math.Sqrt(w), 0)
+	if dst.Rows == 2 {
+		return linalg.ScaleInto(dst, s, Pauli(i))
+	}
+	return linalg.ScaleInto(dst, s, linalg.KronInto(dst, Pauli(i/4), Pauli(i%4)))
+}
 
-func liftedDepolarizing(p float64, target, n int, two bool) *liftedKraus {
-	key := depKey{p: p, target: target, n: n, two: two}
-	depCache.RLock()
-	lk, ok := depCache.m[key]
-	depCache.RUnlock()
-	if ok {
-		return lk
+// depolarizing returns the Kraus operators of the depolarising channel on
+// qubits = 1 or 2 qubits.
+func depolarizing(p float64, qubits int) Kraus {
+	p = clamp01(p)
+	d := 1 << qubits
+	ops := make(Kraus, d*d)
+	for i := range ops {
+		ops[i] = depolarizingOpInto(linalg.New(d, d), p, i)
 	}
-	var ops Kraus
-	if two {
-		ops = Depolarizing2(p)
-	} else {
-		ops = Depolarizing1(p)
-	}
-	lk = &liftedKraus{}
-	for _, op := range ops {
-		var lifted *linalg.Matrix
-		if two {
-			lifted = Lift2(op, target, n)
-		} else {
-			lifted = Lift1(op, target, n)
-		}
-		lk.ops = append(lk.ops, lifted)
-		lk.adj = append(lk.adj, linalg.Adjoint(lifted))
-	}
-	depCache.Lock()
-	if prev, ok := depCache.m[key]; ok {
-		lk = prev // another goroutine built it first; keep one canonical copy
-	} else {
-		depCache.m[key] = lk
-	}
-	depCache.Unlock()
-	return lk
+	return ops
 }
 
 // IsTracePreserving reports whether Σ K†K = I within tol.
@@ -176,29 +129,13 @@ func BitFlip(p float64) Kraus {
 // Depolarizing1 returns the single-qubit depolarising channel
 // ρ → (1−p)ρ + p·I/2.
 func Depolarizing1(p float64) Kraus {
-	p = clamp01(p)
-	ops := Kraus{linalg.Scale(complex(math.Sqrt(1-3*p/4), 0), I2)}
-	for i := 1; i <= 3; i++ {
-		ops = append(ops, linalg.Scale(complex(math.Sqrt(p/4), 0), Pauli(i)))
-	}
-	return ops
+	return depolarizing(p, 1)
 }
 
 // Depolarizing2 returns the two-qubit depolarising channel
 // ρ → (1−p)ρ + p·I/4, expressed over the 16 two-qubit Paulis.
 func Depolarizing2(p float64) Kraus {
-	p = clamp01(p)
-	var ops Kraus
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			w := p / 16
-			if i == 0 && j == 0 {
-				w = 1 - 15*p/16
-			}
-			ops = append(ops, linalg.Scale(complex(math.Sqrt(w), 0), linalg.Kron(Pauli(i), Pauli(j))))
-		}
-	}
-	return ops
+	return depolarizing(p, 2)
 }
 
 // DecoherenceProbabilities converts an idle time into (γ, p) for amplitude
@@ -233,8 +170,7 @@ func Decohere(rho *linalg.Matrix, target, n int, t, t1, t2star float64) *linalg.
 }
 
 // DecohereW is the workspace-threaded Decohere. The Kraus operators are
-// built in ws scratch (their probabilities vary continuously with t, so they
-// cannot be cached). When no decay applies it returns rho itself; otherwise
+// built in ws scratch. When no decay applies it returns rho itself; otherwise
 // the result is a fresh ws matrix owned by the caller and rho is untouched.
 func DecohereW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, t, t1, t2star float64) *linalg.Matrix {
 	gamma, pflip := DecoherenceProbabilities(t, t1, t2star)
@@ -247,7 +183,7 @@ func DecohereW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, t, t1, t
 		k1 := ws.Get(2, 2)
 		k1.Data[1] = complex(math.Sqrt(gamma), 0)
 		ops := [2]*linalg.Matrix{k0, k1}
-		out = applyKrausW(ws, out, ops[:], target, n, false)
+		out = applyKrausW(ws, out, ops[:], target, n)
 		ws.Put(k0)
 		ws.Put(k1)
 	}
@@ -270,15 +206,12 @@ func NoisyGate2(rho, gate *linalg.Matrix, target, n int, fidelity float64) *lina
 	return NoisyGate2W(nil, rho, gate, target, n, fidelity)
 }
 
-// NoisyGate2W is the workspace-threaded NoisyGate2. The depolarising channel
-// is fetched pre-lifted from the global cache (gate fidelities are fixed
-// per device, so the cache converges immediately). Result: fresh ws matrix
+// NoisyGate2W is the workspace-threaded NoisyGate2. Result: fresh ws matrix
 // owned by the caller; ρ untouched.
 func NoisyGate2W(ws *linalg.Workspace, rho, gate *linalg.Matrix, target, n int, fidelity float64) *linalg.Matrix {
 	out := ApplyGate2W(ws, rho, gate, target, n)
 	if fidelity < 1 {
-		lk := liftedDepolarizing(1-fidelity, target, n, true)
-		next := lk.applyW(ws, out)
+		next := applyDepolarizingW(ws, out, 1-fidelity, target, n, 2)
 		ws.Put(out)
 		out = next
 	}
@@ -295,8 +228,7 @@ func NoisyGate1(rho, gate *linalg.Matrix, target, n int, fidelity float64) *lina
 func NoisyGate1W(ws *linalg.Workspace, rho, gate *linalg.Matrix, target, n int, fidelity float64) *linalg.Matrix {
 	out := ApplyGate1W(ws, rho, gate, target, n)
 	if fidelity < 1 {
-		lk := liftedDepolarizing(1-fidelity, target, n, false)
-		next := lk.applyW(ws, out)
+		next := applyDepolarizingW(ws, out, 1-fidelity, target, n, 1)
 		ws.Put(out)
 		out = next
 	}
@@ -304,16 +236,15 @@ func NoisyGate1W(ws *linalg.Workspace, rho, gate *linalg.Matrix, target, n int, 
 }
 
 // ApplyDepolarizing1W applies the single-qubit depolarising channel with
-// probability p to qubit target of ρ, using the pre-lifted channel cache.
-// Result: fresh ws matrix owned by the caller; ρ untouched. Bit-identical to
-// Depolarizing1(p).Apply(rho, target, n).
+// probability p to qubit target of ρ, with the operators built in ws
+// scratch. Result: fresh ws matrix owned by the caller; ρ untouched.
+// Bit-identical to Depolarizing1(p).Apply(rho, target, n).
 func ApplyDepolarizing1W(ws *linalg.Workspace, rho *linalg.Matrix, p float64, target, n int) *linalg.Matrix {
-	return liftedDepolarizing(p, target, n, false).applyW(ws, rho)
+	return applyDepolarizingW(ws, rho, p, target, n, 1)
 }
 
 // ApplyPhaseFlipW applies the dephasing channel with probability p to qubit
-// target of ρ, building the operators in ws scratch (p varies continuously
-// in the attempt-dephasing path, so it is not cached). Bit-identical to
+// target of ρ, building the operators in ws scratch. Bit-identical to
 // PhaseFlip(p).Apply(rho, target, n).
 func ApplyPhaseFlipW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, target, n int) *linalg.Matrix {
 	p = clamp01(p)
@@ -325,7 +256,7 @@ func ApplyPhaseFlipW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, target
 	// flip the imaginary zero to -0, diverging bitwise from Scale(s, Z).
 	k1.Data[0], k1.Data[3] = complex(math.Sqrt(p), 0), complex(-math.Sqrt(p), 0)
 	ops := [2]*linalg.Matrix{k0, k1}
-	out := applyKrausW(ws, rho, ops[:], target, n, false)
+	out := applyKrausW(ws, rho, ops[:], target, n)
 	ws.Put(k0)
 	ws.Put(k1)
 	return out

@@ -8,6 +8,12 @@
 // |00>,|01>,|10>,|11> with the *left* qubit first. Entanglement swaps build
 // the 16×16 joint state of two pairs, apply the noisy Bell-state measurement
 // at the middle node, and return the exact post-measurement remote pair.
+//
+// Gates, Kraus channels and measurement projectors act locally: a 2×2 or
+// 4×4 operator is applied straight to the rows and columns of the qubits
+// it touches, never embedded into a full 2ⁿ×2ⁿ operator, so there are no
+// lifted operators and no channel cache. The package holds no mutable
+// global state.
 package quantum
 
 import (
@@ -101,104 +107,76 @@ func Pauli(i int) *linalg.Matrix {
 	panic("quantum: Pauli index out of range")
 }
 
-// Lift1 embeds a single-qubit operator acting on qubit target (0-based) of an
-// n-qubit system.
-func Lift1(op *linalg.Matrix, target, n int) *linalg.Matrix {
-	return Lift1Into(linalg.New(1<<n, 1<<n), op, target, n)
-}
-
-// Lift1Into writes the n-qubit embedding I⊗…⊗op⊗…⊗I of a single-qubit
-// operator into dst (which must be 2ⁿ×2ⁿ) and returns dst. It produces
-// exactly the matrix Lift1 does, without allocating.
-func Lift1Into(dst, op *linalg.Matrix, target, n int) *linalg.Matrix {
-	if op.Rows != 2 || op.Cols != 2 {
-		panic("quantum: Lift1 needs a 2×2 operator")
-	}
-	if target < 0 || target >= n {
-		panic("quantum: Lift1 target out of range")
-	}
-	dim := 1 << n
-	if dst.Rows != dim || dst.Cols != dim {
-		panic("quantum: Lift1Into dst has wrong shape")
-	}
-	dst.Zero()
-	left := 1 << target
-	right := 1 << (n - target - 1)
-	for l := 0; l < left; l++ {
-		for a := 0; a < 2; a++ {
-			for b := 0; b < 2; b++ {
-				v := op.Data[a*2+b]
-				if v == 0 {
-					continue
-				}
-				rowBase := (l*2 + a) * right
-				colBase := (l*2 + b) * right
-				for r := 0; r < right; r++ {
-					dst.Data[(rowBase+r)*dim+colBase+r] = v
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// Lift2 embeds a two-qubit operator acting on adjacent qubits (target,
-// target+1) of an n-qubit system.
-func Lift2(op *linalg.Matrix, target, n int) *linalg.Matrix {
-	return Lift2Into(linalg.New(1<<n, 1<<n), op, target, n)
-}
-
-// Lift2Into writes the n-qubit embedding of a two-qubit operator on adjacent
-// qubits (target, target+1) into dst (2ⁿ×2ⁿ) and returns dst.
-func Lift2Into(dst, op *linalg.Matrix, target, n int) *linalg.Matrix {
-	if op.Rows != 4 || op.Cols != 4 {
-		panic("quantum: Lift2 needs a 4×4 operator")
-	}
-	if target < 0 || target+1 >= n {
-		panic("quantum: Lift2 target out of range")
-	}
-	dim := 1 << n
-	if dst.Rows != dim || dst.Cols != dim {
-		panic("quantum: Lift2Into dst has wrong shape")
-	}
-	dst.Zero()
-	left := 1 << target
-	right := 1 << (n - target - 2)
-	for l := 0; l < left; l++ {
-		for a := 0; a < 4; a++ {
-			for b := 0; b < 4; b++ {
-				v := op.Data[a*4+b]
-				if v == 0 {
-					continue
-				}
-				rowBase := (l*4 + a) * right
-				colBase := (l*4 + b) * right
-				for r := 0; r < right; r++ {
-					dst.Data[(rowBase+r)*dim+colBase+r] = v
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// Conjugate returns U·ρ·U†.
-func Conjugate(u, rho *linalg.Matrix) *linalg.Matrix {
-	return linalg.MulChain(u, rho, linalg.Adjoint(u))
-}
-
-// conjugateW computes U·ρ·U† with workspace temporaries. The result is a
-// fresh workspace matrix owned by the caller; u and rho are untouched.
-func conjugateW(ws *linalg.Workspace, u, rho *linalg.Matrix) *linalg.Matrix {
-	tmp := ws.GetRaw(u.Rows, rho.Cols)
-	linalg.MulInto(tmp, u, rho)
-	udag := ws.GetRaw(u.Cols, u.Rows)
-	linalg.ConjTransposeInto(udag, u)
-	out := ws.GetRaw(tmp.Rows, udag.Cols)
-	linalg.MulInto(out, tmp, udag)
+// conjugateLocalW returns L·ρ·L† for L = I⊗op⊗I as a fresh ws matrix
+// owned by the caller; see conjugateLocalInto.
+func conjugateLocalW(ws *linalg.Workspace, op, rho *linalg.Matrix, target, n int) *linalg.Matrix {
+	tmp := ws.GetRaw(rho.Rows, rho.Cols)
+	out := conjugateLocalInto(ws.GetRaw(rho.Rows, rho.Cols), tmp, op, rho, target, n)
 	ws.Put(tmp)
-	ws.Put(udag)
 	return out
+}
+
+// conjugateLocalInto writes L·ρ·L† for L = I⊗op⊗I into dst and returns it,
+// where op is a 2×2 or 4×4 operator on the adjacent qubits starting at
+// target of an n-qubit ρ. tmp is scratch; dst and tmp are 2ⁿ×2ⁿ and alias
+// neither ρ nor each other. L is never formed: every element sums the same
+// terms, in the same order, as MulInto does on the dense embedding, so the
+// result is bit-identical to lifting op and conjugating with two dense
+// products.
+func conjugateLocalInto(dst, tmp, op, rho *linalg.Matrix, target, n int) *linalg.Matrix {
+	d := op.Rows
+	if (d != 2 && d != 4) || op.Cols != d {
+		panic("quantum: local operator must be 2×2 or 4×4")
+	}
+	if target < 0 || target+d/2 > n {
+		panic("quantum: operator target out of range")
+	}
+	dim := 1 << n
+	if rho.Rows != dim || rho.Cols != dim {
+		panic("quantum: state is not 2ⁿ×2ⁿ")
+	}
+	// Index (l, a, r) = l + a·stride + r: a is the operator's local index,
+	// l and r the untouched qubits to its left and right. Both passes visit
+	// op's nonzero entries row by row, so every sum runs over ascending b.
+	stride := 1 << (n - target - d/2)
+	block := d * stride
+	// tmp = L·ρ: row (l,a,r) is Σ_b op[a][b]·(ρ row (l,b,r)).
+	tmp.Zero()
+	for l := 0; l < dim; l += block {
+		for a := 0; a < d; a++ {
+			for b, v := range op.Data[a*d : (a+1)*d] {
+				if v == 0 {
+					continue
+				}
+				for r := 0; r < stride; r++ {
+					i, k := l+a*stride+r, l+b*stride+r
+					trow := tmp.Data[i*dim : (i+1)*dim]
+					for j, x := range rho.Data[k*dim : (k+1)*dim] {
+						trow[j] += v * x
+					}
+				}
+			}
+		}
+	}
+	// dst = tmp·L†: column (l,a,r) is Σ_b (tmp column (l,b,r))·conj(op[a][b]).
+	dst.Zero()
+	for l := 0; l < dim; l += block {
+		for a := 0; a < d; a++ {
+			for b, v := range op.Data[a*d : (a+1)*d] {
+				if v == 0 {
+					continue
+				}
+				c := cmplx.Conj(v)
+				for r := 0; r < stride; r++ {
+					j, k := l+a*stride+r, l+b*stride+r
+					for i := 0; i < dim*dim; i += dim {
+						dst.Data[i+j] += tmp.Data[i+k] * c
+					}
+				}
+			}
+		}
+	}
+	return dst
 }
 
 // ApplyGate1 applies a single-qubit unitary to qubit target of an n-qubit ρ.
@@ -210,11 +188,7 @@ func ApplyGate1(rho, gate *linalg.Matrix, target, n int) *linalg.Matrix {
 // and the result is a fresh ws matrix owned by the caller. ρ is untouched.
 // A nil ws falls back to plain allocation.
 func ApplyGate1W(ws *linalg.Workspace, rho, gate *linalg.Matrix, target, n int) *linalg.Matrix {
-	u := ws.GetRaw(rho.Rows, rho.Cols)
-	Lift1Into(u, gate, target, n)
-	out := conjugateW(ws, u, rho)
-	ws.Put(u)
-	return out
+	return conjugateLocalW(ws, gate, rho, target, n)
 }
 
 // ApplyGate2 applies a two-qubit unitary to adjacent qubits (target,
@@ -226,9 +200,5 @@ func ApplyGate2(rho, gate *linalg.Matrix, target, n int) *linalg.Matrix {
 // ApplyGate2W is the workspace-threaded ApplyGate2; see ApplyGate1W for the
 // ownership rules.
 func ApplyGate2W(ws *linalg.Workspace, rho, gate *linalg.Matrix, target, n int) *linalg.Matrix {
-	u := ws.GetRaw(rho.Rows, rho.Cols)
-	Lift2Into(u, gate, target, n)
-	out := conjugateW(ws, u, rho)
-	ws.Put(u)
-	return out
+	return conjugateLocalW(ws, gate, rho, target, n)
 }

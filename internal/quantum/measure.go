@@ -58,29 +58,25 @@ func Measure(rho *linalg.Matrix, target, n int, ro Readout, rng *rand.Rand) (bit
 // returned post state is a fresh ws matrix owned by the caller; ρ is
 // untouched. The RNG consumption and results are bit-identical to Measure.
 func MeasureW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, ro Readout, rng *rand.Rand) (bit int, post *linalg.Matrix) {
-	p0op := ws.GetRaw(rho.Rows, rho.Cols)
-	Lift1Into(p0op, proj0, target, n)
-	tmp := ws.GetRaw(rho.Rows, rho.Cols)
-	linalg.MulInto(tmp, p0op, rho)
-	p0 := real(linalg.Trace(tmp))
-	ws.Put(tmp)
+	// p₀ = Tr(P₀ρ): the diagonal entries whose target bit is 0.
+	mask := 1 << (n - 1 - target)
+	var p0 float64
+	for i := 0; i < rho.Rows; i++ {
+		if i&mask == 0 {
+			p0 += real(rho.Data[i*rho.Cols+i])
+		}
+	}
 	if p0 < 0 {
 		p0 = 0
 	}
 	if p0 > 1 {
 		p0 = 1
 	}
-	truth := 1
-	proj := p0op
-	prob := 1 - p0
+	truth, proj, prob := 1, proj1, 1-p0
 	if rng.Float64() < p0 {
-		truth = 0
-		prob = p0
-	} else {
-		Lift1Into(proj, proj1, target, n)
+		truth, proj, prob = 0, proj0, p0
 	}
-	post = conjugateW(ws, proj, rho)
-	ws.Put(p0op)
+	post = conjugateLocalW(ws, proj, rho, target, n)
 	if prob > 1e-15 {
 		post.ScaleInPlace(complex(1/prob, 0))
 	}

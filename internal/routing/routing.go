@@ -411,7 +411,7 @@ func (c *Controller) worstCase(link hardware.LinkConfig, linkF float64, hops int
 			// The intermediate half is moved into carbon: two-qubit gate
 			// plus carbon initialisation noise on one qubit.
 			pNoise := 1 - c.Params.Gates.TwoQubitFidelity*c.Params.Gates.CarbonInitFidelity
-			rho = quantum.Depolarizing1(pNoise).Apply(rho, 0, 2)
+			rho = quantum.ApplyDepolarizing1W(nil, rho, pNoise, 0, 2)
 		}
 		rho = quantum.Decohere(rho, 0, 2, wait, lt.T1, lt.T2)
 		return quantum.Decohere(rho, 1, 2, wait, lt.T1, lt.T2)
