@@ -122,7 +122,10 @@ func BenchmarkTopologySweep(b *testing.B) {
 // BenchmarkPlacementGrid isolates the placement path itself — Yen
 // k-shortest candidate enumeration plus model scoring, no physics run —
 // with k=3 probes on a 15×15 grid whose links already carry installed
-// members, so every probe pays the contended-scoring cost.
+// members, so every probe pays the contended-scoring cost. It reuses one
+// controller, so after the first op every path budget comes from the
+// controller's plan memo: this measures warm placement. Cold budgeting is
+// internal/routing's BenchmarkPlanCold.
 func BenchmarkPlacementGrid(b *testing.B) {
 	cfg := qnet.DefaultConfig()
 	cfg.EnforceEER = true

@@ -121,6 +121,18 @@ type Engine struct {
 	exclusive bool
 	// retry wakes the dispatcher when an exclusivity wait expires.
 	retry sim.Event
+	// alphas memoises the link model's inversion, keyed by the requested
+	// fidelity's bits (so a NaN request finds its entry too): the link
+	// config and device Params are fixed for the engine's life, and a
+	// circuit re-registers its labels on every new request.
+	alphas map[uint64]alphaResult
+}
+
+// alphaResult is one memoised AlphaForFidelity answer, unreachable ones
+// included.
+type alphaResult struct {
+	alpha float64
+	ok    bool
 }
 
 // NewEngine creates the generation engine for the link between a and b.
@@ -134,6 +146,7 @@ func NewEngine(s *sim.Simulation, name string, cfg hardware.LinkConfig, a, b *de
 		devs:      [2]*device.Device{a, b},
 		reqs:      make(map[Label]*request),
 		exclusive: a.Params().HasCarbon,
+		alphas:    make(map[uint64]alphaResult),
 	}
 	a.OnFree(e.dispatch)
 	b.OnFree(e.dispatch)
@@ -173,16 +186,20 @@ func (e *Engine) Register(node string, label Label, minFidelity, rate float64, c
 	s := e.side(node)
 	r, ok := e.reqs[label]
 	if !ok {
-		alpha, achievable := e.cfg.AlphaForFidelity(e.devs[0].Params(), minFidelity)
-		if !achievable {
+		a, cached := e.alphas[math.Float64bits(minFidelity)]
+		if !cached {
+			a.alpha, a.ok = e.cfg.AlphaForFidelity(e.devs[0].Params(), minFidelity)
+			e.alphas[math.Float64bits(minFidelity)] = a
+		}
+		if !a.ok {
 			return fmt.Errorf("linklayer %s: fidelity %.4f unreachable", e.name, minFidelity)
 		}
 		r = &request{
 			label:       label,
 			minFidelity: minFidelity,
 			weight:      rate,
-			alpha:       alpha,
-			prob:        e.cfg.SuccessProb(e.devs[0].Params(), alpha),
+			alpha:       a.alpha,
+			prob:        e.cfg.SuccessProb(e.devs[0].Params(), a.alpha),
 			used:        e.minVirtualUsed(rate),
 			paceSetter:  -1,
 		}

@@ -205,6 +205,45 @@ func TestUnreachableFidelityRejected(t *testing.T) {
 	}
 }
 
+// TestRegisterAlphaMemo: re-registering a label after both sides
+// deactivated (what a head-end does on every new request) reuses the
+// engine's α memo, and the request it builds carries α and success
+// probability bit-identical to the link model's. An unreachable fidelity
+// keeps its memoised error on every attempt.
+func TestRegisterAlphaMemo(t *testing.T) {
+	h := newHarness(12, 2)
+	p, cfg := hardware.Simulation(), hardware.LabLink()
+	for cycle := 0; cycle < 3; cycle++ {
+		for _, f := range []float64{0.8, 0.9, 0.95} {
+			wantAlpha, ok := cfg.AlphaForFidelity(p, f)
+			if !ok {
+				t.Fatalf("fidelity %v unreachable on the lab link", f)
+			}
+			wantProb := cfg.SuccessProb(p, wantAlpha)
+			for _, node := range []string{"a", "b"} {
+				if err := h.engine.Register(node, "vc", f, 10, func(Delivery) {}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := h.engine.reqs["vc"]
+			if math.Float64bits(r.alpha) != math.Float64bits(wantAlpha) || math.Float64bits(r.prob) != math.Float64bits(wantProb) {
+				t.Fatalf("cycle %d, F=%v: alpha %v prob %v, want %v %v", cycle, f, r.alpha, r.prob, wantAlpha, wantProb)
+			}
+			h.engine.Deactivate("a", "vc")
+			h.engine.Deactivate("b", "vc")
+		}
+		if err := h.engine.Register("a", "vc", 0.9999, 10, func(Delivery) {}); err == nil {
+			t.Fatalf("cycle %d: unreachable fidelity accepted", cycle)
+		}
+	}
+	if len(h.engine.alphas) != 4 {
+		t.Fatalf("alpha memo holds %d entries, want 4 (three reachable, one not)", len(h.engine.alphas))
+	}
+	if a := h.engine.alphas[math.Float64bits(0.9999)]; a.ok {
+		t.Fatalf("unreachable fidelity memoised as reachable: %+v", a)
+	}
+}
+
 func TestConflictingFidelityRejected(t *testing.T) {
 	h := newHarness(9, 2)
 	if err := h.engine.Register("a", "vc1", 0.9, 10, func(Delivery) {}); err != nil {

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"qnp/internal/hardware"
@@ -139,8 +140,9 @@ func (g *Graph) LinkCount() int {
 	return total / 2
 }
 
-// ShortestPath runs Dijkstra with unit link costs (all links identical in
-// the paper's evaluation), breaking ties deterministically by node name.
+// ShortestPath returns the path Dijkstra finds with unit link costs (all
+// links identical in the paper's evaluation), breaking ties
+// deterministically by node name.
 func (g *Graph) ShortestPath(src, dst string) ([]string, error) {
 	if !g.nodes[src] || !g.nodes[dst] {
 		return nil, fmt.Errorf("routing: unknown endpoint %q or %q", src, dst)
@@ -150,57 +152,41 @@ func (g *Graph) ShortestPath(src, dst string) ([]string, error) {
 
 // shortestPathFiltered is ShortestPath with banned nodes and banned
 // (canonically keyed) links removed from the graph — the spur searches of
-// Yen's algorithm. With nil bans it is exactly ShortestPath: the iteration
-// and tie-break order are untouched, so public results cannot drift.
+// Yen's algorithm. With unit link costs Dijkstra extracts nodes in (hop
+// count, name) order, so this is a breadth-first search that expands one
+// layer at a time in name order and stops when dst is dequeued. A node's
+// predecessor is the first expanded node that reaches it, as in Dijkstra
+// with name tie-breaks, so every path (and every Yen candidate) is the
+// one Dijkstra returns.
 func (g *Graph) shortestPathFiltered(src, dst string, bannedNode map[string]bool, bannedLink map[string]bool) ([]string, error) {
-	dist := map[string]int{src: 0}
-	prev := map[string]string{}
-	visited := map[string]bool{}
-	for {
-		// Extract the unvisited node with minimal distance (deterministic
-		// order for equal distances).
-		best, bestD := "", math.MaxInt
-		var names []string
-		for n := range dist {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			if !visited[n] && dist[n] < bestD {
-				best, bestD = n, dist[n]
-			}
-		}
-		if best == "" {
-			return nil, fmt.Errorf("routing: no path %s→%s", src, dst)
-		}
-		if best == dst {
-			break
-		}
-		visited[best] = true
-		var nbrs []string
-		for nb := range g.links[best] {
-			nbrs = append(nbrs, nb)
-		}
-		sort.Strings(nbrs)
-		for _, nb := range nbrs {
-			if bannedNode[nb] || bannedLink[linkID(best, nb)] {
-				continue
-			}
-			if d := bestD + 1; !visited[nb] {
-				if old, ok := dist[nb]; !ok || d < old {
-					dist[nb] = d
-					prev[nb] = best
+	prev := map[string]string{src: src}
+	for layer := []string{src}; len(layer) > 0; {
+		var next []string
+		for _, at := range layer {
+			if at == dst {
+				path := []string{dst}
+				for at != src {
+					at = prev[at]
+					path = append(path, at)
 				}
+				slices.Reverse(path)
+				return path, nil
+			}
+			for nb := range g.links[at] {
+				if _, seen := prev[nb]; seen || bannedNode[nb] {
+					continue
+				}
+				if len(bannedLink) > 0 && bannedLink[linkID(at, nb)] {
+					continue
+				}
+				prev[nb] = at
+				next = append(next, nb)
 			}
 		}
+		sort.Strings(next)
+		layer = next
 	}
-	var path []string
-	for at := dst; ; at = prev[at] {
-		path = append([]string{at}, path...)
-		if at == src {
-			return path, nil
-		}
-	}
+	return nil, fmt.Errorf("routing: no path %s→%s", src, dst)
 }
 
 // Plan is the controller's output for one circuit: everything the
@@ -244,6 +230,12 @@ type Controller struct {
 	// the members actually sharing a link with the changed path.
 	members     map[string]member
 	linkMembers map[string]map[string]bool
+
+	// plans memoises planPath per controller (created on first use). A
+	// controller is driven by one simulation goroutine, so it needs no
+	// lock, and it holds at most one entry per distinct planKey a run asks
+	// for.
+	plans map[planKey]planResult
 }
 
 // Refit is one circuit's re-fitted allocation after a membership change.
@@ -265,14 +257,59 @@ func linkID(a, b string) string {
 	return a + "|" + b
 }
 
+// planKey is everything planPath reads: path[0]'s link configuration
+// (every hop is budgeted from it), the controller's Params (exported, so a
+// caller may change them between calls), the hop count, the end-to-end
+// target and the cutoff rule. It must grow with planPath: once the planner
+// reads every link on the path, the key must cover every link's
+// configuration, and TestPlanMemoMatchesFreshController fails until it
+// does.
+type planKey struct {
+	link   hardware.LinkConfig
+	params hardware.Params
+	hops   int
+	// target holds the fidelity's bits, so a NaN target (never equal to
+	// itself as a float) still finds its entry instead of adding one per
+	// call.
+	target uint64
+	policy CutoffPolicy
+	manual sim.Duration
+}
+
+// planResult is one memoised planPath outcome. plan.Path is nil: a hit
+// puts the caller's path back. Infeasible results are kept too, since
+// Yen's longer candidates are often infeasible.
+type planResult struct {
+	plan Plan
+	err  error
+}
+
 // planPath computes the per-link fidelity budget for one concrete path:
 // the smallest link fidelity whose worst-case end-to-end composition still
 // meets the target, plus the cutoff and rate numbers derived from it. It
-// never sets Plan.MaxEER — allocation is the placement layer's job.
+// never sets Plan.MaxEER — allocation is the placement layer's job. The
+// budget is a pure function of planKey, so each key is computed once per
+// controller.
 func (c *Controller) planPath(path []string, e2eFidelity float64, policy CutoffPolicy, manualCutoff sim.Duration) (Plan, error) {
 	link, _ := c.Graph.Link(path[0], path[1])
-	hops := len(path) - 1
+	key := planKey{link: link, params: c.Params, hops: len(path) - 1, target: math.Float64bits(e2eFidelity), policy: policy, manual: manualCutoff}
+	r, ok := c.plans[key]
+	if !ok {
+		r.plan, r.err = c.planPathSlow(link, key.hops, e2eFidelity, policy, manualCutoff)
+		if c.plans == nil {
+			c.plans = make(map[planKey]planResult)
+		}
+		c.plans[key] = r
+	}
+	if r.err != nil {
+		return Plan{}, r.err
+	}
+	r.plan.Path = path
+	return r.plan, nil
+}
 
+// planPathSlow is planPath without the memo.
+func (c *Controller) planPathSlow(link hardware.LinkConfig, hops int, e2eFidelity float64, policy CutoffPolicy, manualCutoff sim.Duration) (Plan, error) {
 	_, maxF := link.MaxFidelity(c.Params)
 	// Bisect the smallest link fidelity whose worst-case end-to-end
 	// composition still meets the target.
@@ -298,7 +335,6 @@ func (c *Controller) planPath(path []string, e2eFidelity float64, policy CutoffP
 		return Plan{}, fmt.Errorf("routing: link cannot produce fidelity %.3f", linkF)
 	}
 	plan := Plan{
-		Path:              path,
 		LinkFidelity:      linkF,
 		Cutoff:            c.cutoffFor(link, linkF, policy, manualCutoff),
 		LinkPairTime:      pairTime,
@@ -371,21 +407,6 @@ func (c *Controller) fidelityLossTime(link hardware.LinkConfig, linkF, fraction 
 		}
 	}
 	return sim.DurationFromSeconds(hi)
-}
-
-// worstCaseSingleAged returns the fraction of a fresh link-pair's fidelity
-// that survives idling for t (both qubits decohering) — the quantity the
-// long-cutoff policy holds at ≈98.5%.
-func (c *Controller) worstCaseSingleAged(link hardware.LinkConfig, linkF float64, t sim.Duration) float64 {
-	alpha, ok := link.AlphaForFidelity(c.Params, linkF)
-	if !ok {
-		return 0
-	}
-	rho0 := link.Model(c.Params, alpha).State(quantum.PsiPlus)
-	f0 := quantum.Fidelity(rho0, quantum.PsiPlus)
-	rho := quantum.Decohere(rho0, 0, 2, t.Seconds(), c.Params.Electron.T1, c.Params.Electron.T2)
-	rho = quantum.Decohere(rho, 1, 2, t.Seconds(), c.Params.Electron.T1, c.Params.Electron.T2)
-	return quantum.Fidelity(rho, quantum.PsiPlus) / f0
 }
 
 // worstCase composes the end-to-end fidelity assuming every link-pair ages

@@ -1,11 +1,15 @@
 package routing
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"qnp/internal/hardware"
+	"qnp/internal/quantum"
 	"qnp/internal/sim"
 )
 
@@ -194,19 +198,46 @@ func TestCutoffPolicies(t *testing.T) {
 	}
 }
 
-// The long cutoff is defined by a 1.5% fidelity loss; verify the computed
-// time indeed loses ≈1.5%.
-func TestLongCutoffCalibration(t *testing.T) {
-	c := NewController(dumbbell(), hardware.Simulation())
-	link := hardware.LabLink()
-	cut := c.cutoffFor(link, 0.9, CutoffLong, 0)
-	if cut <= 0 {
-		t.Fatal("no cutoff computed")
+// agedFraction returns the fraction of a fresh link-pair's fidelity that
+// survives idling for t, both qubits decohering under the storage
+// lifetimes that fidelityLossTime ages with: the quantity the long-cutoff
+// policy holds at ≈98.5%.
+func agedFraction(c *Controller, link hardware.LinkConfig, linkF float64, t sim.Duration) float64 {
+	alpha, ok := link.AlphaForFidelity(c.Params, linkF)
+	if !ok {
+		return 0
 	}
-	lost := 1 - c.worstCaseSingleAged(link, 0.9, cut)
-	// worstCaseSingleAged returns F(aged)/F(fresh).
-	if math.Abs(lost-0.015) > 0.003 {
-		t.Errorf("fidelity loss at cutoff = %.4f, want ≈0.015", lost)
+	lt := c.storageLifetimes()
+	rho0 := link.Model(c.Params, alpha).State(quantum.PsiPlus)
+	f0 := quantum.Fidelity(rho0, quantum.PsiPlus)
+	rho := quantum.Decohere(rho0, 0, 2, t.Seconds(), lt.T1, lt.T2)
+	rho = quantum.Decohere(rho, 1, 2, t.Seconds(), lt.T1, lt.T2)
+	return quantum.Fidelity(rho, quantum.PsiPlus) / f0
+}
+
+// The long cutoff is defined by a 1.5% fidelity loss; verify the computed
+// time indeed loses ≈1.5%, on the idealised platform (electron storage)
+// and on the near-term one (carbon storage, 25 km telecom link, just below
+// the link's peak fidelity).
+func TestLongCutoffCalibration(t *testing.T) {
+	_, nearMaxF := hardware.TelecomLink(25000).MaxFidelity(hardware.NearTerm())
+	for _, tc := range []struct {
+		name   string
+		params hardware.Params
+		link   hardware.LinkConfig
+		linkF  float64
+	}{
+		{"simulation", hardware.Simulation(), hardware.LabLink(), 0.9},
+		{"near-term", hardware.NearTerm(), hardware.TelecomLink(25000), nearMaxF - 0.01},
+	} {
+		c := NewController(dumbbell(), tc.params)
+		cut := c.cutoffFor(tc.link, tc.linkF, CutoffLong, 0)
+		if cut <= 0 {
+			t.Fatalf("%s: no cutoff computed", tc.name)
+		}
+		if lost := 1 - agedFraction(c, tc.link, tc.linkF, cut); math.Abs(lost-0.015) > 0.003 {
+			t.Errorf("%s: fidelity loss at cutoff = %.4f, want ≈0.015", tc.name, lost)
+		}
 	}
 }
 
@@ -301,4 +332,140 @@ func TestRefitAllocations(t *testing.T) {
 	if refits := admitPath(s, "b", sp2.Path, sp2.MaxLPR, false); len(refits) != 0 {
 		t.Fatalf("static commit re-fitted %v", refits)
 	}
+}
+
+// dijkstraPath is the sort-every-extraction Dijkstra that
+// shortestPathFiltered replaced, kept as its oracle: every extraction
+// sorts the whole distance map by name and takes the unvisited node of
+// least distance.
+func dijkstraPath(g *Graph, src, dst string, bannedNode, bannedLink map[string]bool) ([]string, error) {
+	dist := map[string]int{src: 0}
+	prev := map[string]string{}
+	visited := map[string]bool{}
+	for {
+		best, bestD := "", math.MaxInt
+		var names []string
+		for n := range dist {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		for _, n := range names {
+			if !visited[n] && dist[n] < bestD {
+				best, bestD = n, dist[n]
+			}
+		}
+		if best == "" {
+			return nil, fmt.Errorf("routing: no path %s→%s", src, dst)
+		}
+		if best == dst {
+			break
+		}
+		visited[best] = true
+		for _, nb := range g.Neighbors(best) {
+			if bannedNode[nb] || bannedLink[linkID(best, nb)] {
+				continue
+			}
+			if d := bestD + 1; !visited[nb] {
+				if old, ok := dist[nb]; !ok || d < old {
+					dist[nb] = d
+					prev[nb] = best
+				}
+			}
+		}
+	}
+	var path []string
+	for at := dst; ; at = prev[at] {
+		path = append([]string{at}, path...)
+		if at == src {
+			return path, nil
+		}
+	}
+}
+
+// waxmanGraph is a Waxman random graph on n nodes in the unit square:
+// a–b is linked with probability 0.5·exp(−d(a,b)/(0.3·√2)). Unlike
+// randomGraph it has no connecting ring, so it may be disconnected.
+func waxmanGraph(n int, seed int64) *Graph {
+	g := NewGraph()
+	rng := rand.New(rand.NewSource(seed))
+	xs, ys := make([]float64, n), make([]float64, n)
+	for i := range xs {
+		xs[i], ys[i] = rng.Float64(), rng.Float64()
+		g.AddNode(fmt.Sprintf("n%d", i))
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			d := math.Hypot(xs[i]-xs[j], ys[i]-ys[j])
+			if rng.Float64() < 0.5*math.Exp(-d/(0.3*math.Sqrt2)) {
+				g.AddLink(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", j), hardware.LabLink())
+			}
+		}
+	}
+	return g
+}
+
+// checkShortestPath builds a grid, ring or Waxman graph (kind mod 3) of
+// about size nodes, bans each node and link with probability banPct/100
+// (no bans at all passes nil maps, as ShortestPath does), and compares
+// shortestPathFiltered with the Dijkstra oracle on one seeded src/dst pair.
+func checkShortestPath(t *testing.T, kind, size, banPct uint8, seed int64) {
+	n := int(size%48) + 1
+	var g *Graph
+	switch kind % 3 {
+	case 0:
+		g = gridGraph(1+n%7, 1+n/7)
+	case 1:
+		g = ringGraph(n)
+	default:
+		g = waxmanGraph(n, seed)
+	}
+	nodes := g.Nodes()
+	rng := rand.New(rand.NewSource(seed))
+	src, dst := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+	var bannedNode, bannedLink map[string]bool
+	if p := float64(banPct%50) / 100; p > 0 {
+		bannedNode, bannedLink = map[string]bool{}, map[string]bool{}
+		for _, a := range nodes {
+			if rng.Float64() < p {
+				bannedNode[a] = true
+			}
+			for _, b := range g.Neighbors(a) {
+				if a < b && rng.Float64() < p {
+					bannedLink[linkID(a, b)] = true
+				}
+			}
+		}
+	}
+	got, gotErr := g.shortestPathFiltered(src, dst, bannedNode, bannedLink)
+	want, wantErr := dijkstraPath(g, src, dst, bannedNode, bannedLink)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+		t.Fatalf("kind %d, %d nodes, %s→%s, bans %v %v:\n got %v, %v\nwant %v, %v",
+			kind%3, len(nodes), src, dst, bannedNode, bannedLink, got, gotErr, want, wantErr)
+	}
+}
+
+// TestShortestPathMatchesDijkstra: the layered breadth-first search returns
+// the oracle's path (or its error) on grids, rings and Waxman graphs of
+// every size up to 48 nodes, with and without bans.
+func TestShortestPathMatchesDijkstra(t *testing.T) {
+	for kind := uint8(0); kind < 3; kind++ {
+		for size := uint8(0); size < 48; size++ {
+			for _, ban := range []uint8{0, 10, 30} {
+				checkShortestPath(t, kind, size, ban, int64(size)*7+int64(ban))
+			}
+		}
+	}
+}
+
+// FuzzShortestPathFiltered explores further graphs, endpoints and bans
+// against the Dijkstra oracle: identical path or identical error.
+func FuzzShortestPathFiltered(f *testing.F) {
+	for kind := uint8(0); kind < 3; kind++ {
+		for seed := int64(1); seed <= 4; seed++ {
+			f.Add(kind, uint8(9*seed), uint8(8*seed), seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind, size, banPct uint8, seed int64) {
+		checkShortestPath(t, kind, size, banPct, seed)
+	})
 }
