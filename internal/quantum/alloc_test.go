@@ -82,6 +82,28 @@ func TestAllocsDecohereAndMeasureW(t *testing.T) {
 	}
 }
 
+// TestAllocsClosedFormChannelsW gates the closed-form noise channels the
+// device applies on their own, outside DecohereW and SwapW.
+func TestAllocsClosedFormChannelsW(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation gates run with -race off")
+	}
+	rho := WernerState(0.9)
+	ws := warmWS(func(ws *linalg.Workspace) {
+		ws.Put(ApplyDepolarizing1W(ws, rho, 0.05, 1, 2))
+	})
+	if allocs := testing.AllocsPerRun(100, func() {
+		ws.Put(ApplyDepolarizing1W(ws, rho, 0.05, 1, 2))
+	}); allocs != 0 {
+		t.Errorf("ApplyDepolarizing1W allocs/op = %v, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		ws.Put(ApplyPhaseFlipW(ws, rho, 0.05, 0, 2))
+	}); allocs != 0 {
+		t.Errorf("ApplyPhaseFlipW allocs/op = %v, want 0", allocs)
+	}
+}
+
 // The W variants must be bit-identical to the allocating API: same values
 // and the same RNG consumption.
 func TestSwapWMatchesSwap(t *testing.T) {

@@ -19,18 +19,13 @@ func (k Kraus) Apply(rho *linalg.Matrix, target, n int) *linalg.Matrix {
 
 // ApplyW is the workspace-threaded Apply: temporaries come from ws and the
 // result is a fresh ws matrix owned by the caller. ρ is untouched. A nil ws
-// falls back to plain allocation.
-func (k Kraus) ApplyW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int) *linalg.Matrix {
-	return applyKrausW(ws, rho, k, target, n)
-}
-
-// applyKrausW accumulates Σ K ρ K† into a fresh ws matrix, one local
+// falls back to plain allocation. It accumulates Σ K ρ K† one local
 // conjugation per operator, in operator order.
-func applyKrausW(ws *linalg.Workspace, rho *linalg.Matrix, ops []*linalg.Matrix, target, n int) *linalg.Matrix {
+func (k Kraus) ApplyW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int) *linalg.Matrix {
 	out := ws.Get(rho.Rows, rho.Cols)
 	tmp := ws.GetRaw(rho.Rows, rho.Cols)
 	c := ws.GetRaw(rho.Rows, rho.Cols)
-	for _, op := range ops {
+	for _, op := range k {
 		out.AddInPlace(conjugateLocalInto(c, tmp, op, rho, target, n))
 	}
 	ws.Put(tmp)
@@ -38,50 +33,110 @@ func applyKrausW(ws *linalg.Workspace, rho *linalg.Matrix, ops []*linalg.Matrix,
 	return out
 }
 
-// applyDepolarizingW applies Depolarizing1(p) (qubits = 1) or
-// Depolarizing2(p) (qubits = 2) like applyKrausW, building one Kraus
-// operator at a time in ws scratch with the constructors' arithmetic.
+// applyDepolarizingW applies the depolarising channel with probability p
+// to the qubits = 1 or 2 adjacent qubits starting at target, in closed
+// form: (1−p)ρ + p·(I/d ⊗ Tr_q ρ) with d = 2^qubits, the identity and the
+// partial trace both on those qubits. In (l, a, r) indices (see
+// localShape) the second term adds (p/d)·Σ_b ρ[(l,b,r),(l′,b,r′)] to every
+// entry with a = a′, so each reduced entry is summed once and spread over
+// the d local diagonals. The result is a fresh ws matrix owned by the
+// caller; ρ is untouched. It agrees with Depolarizing1/2(p).Apply to
+// within 1e-12 max-abs.
 func applyDepolarizingW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, target, n, qubits int) *linalg.Matrix {
 	p = clamp01(p)
+	dim, stride := localShape(rho, target, qubits, n)
 	d := 1 << qubits
-	op := ws.GetRaw(d, d)
-	out := ws.Get(rho.Rows, rho.Cols)
-	tmp := ws.GetRaw(rho.Rows, rho.Cols)
-	c := ws.GetRaw(rho.Rows, rho.Cols)
-	for i := 0; i < d*d; i++ {
-		out.AddInPlace(conjugateLocalInto(c, tmp, depolarizingOpInto(op, p, i), rho, target, n))
+	out := ws.GetRaw(dim, dim)
+	for i, x := range rho.Data {
+		out.Data[i] = scale(1-p, x)
 	}
-	ws.Put(op)
-	ws.Put(tmp)
-	ws.Put(c)
+	mix := p / float64(d)
+	local := (d - 1) * stride // bits of the local index a
+	for i := 0; i < dim; i++ {
+		if i&local != 0 {
+			continue // rows (l, 0, r) only
+		}
+		for j := 0; j < dim; j++ {
+			if j&local != 0 {
+				continue
+			}
+			var s complex128
+			for b := 0; b < d*stride; b += stride {
+				s += rho.Data[(i+b)*dim+j+b]
+			}
+			s = scale(mix, s)
+			for a := 0; a < d*stride; a += stride {
+				out.Data[(i+a)*dim+j+a] += s
+			}
+		}
+	}
 	return out
 }
 
-// depolarizingOpInto writes Kraus operator i of the d-dimensional
-// depolarising channel ρ → (1−p)ρ + p·I/d into dst (d×d, d = 2 or 4) and
-// returns it: √(1 − (d²−1)p/d²)·I for i = 0, otherwise √(p/d²)·Pᵢ for the
-// i-th Pauli string in lexicographic order. p must already be clamped.
-func depolarizingOpInto(dst *linalg.Matrix, p float64, i int) *linalg.Matrix {
-	m := float64(dst.Rows * dst.Rows)
-	w := p / m
-	if i == 0 {
-		w = 1 - (m-1)*p/m
+// decayW applies amplitude damping with decay probability gamma and then
+// dephasing with flip probability pflip to qubit target, in one entrywise
+// pass. Split into blocks by the target bit of the row and column index,
+// the |0⟩⟨0| block gains γ times the |1⟩⟨1| block, the |1⟩⟨1| block
+// scales by 1−γ, and the off-diagonal blocks scale by √(1−γ)·(1−2·pflip).
+// The result is a fresh ws matrix owned by the caller; ρ is untouched. It
+// agrees with applying AmplitudeDamping(gamma) and then PhaseFlip(pflip)
+// as Kraus sums to within 1e-12 max-abs.
+func decayW(ws *linalg.Workspace, rho *linalg.Matrix, gamma, pflip float64, target, n int) *linalg.Matrix {
+	dim, mask := localShape(rho, target, 1, n)
+	out := ws.GetRaw(dim, dim)
+	off := math.Sqrt(1-gamma) * (1 - 2*pflip)
+	for i := 0; i < dim; i++ {
+		row, orow := rho.Data[i*dim:(i+1)*dim], out.Data[i*dim:(i+1)*dim]
+		if i&mask != 0 {
+			for j, x := range row {
+				if j&mask != 0 {
+					orow[j] = scale(1-gamma, x)
+				} else {
+					orow[j] = scale(off, x)
+				}
+			}
+			continue
+		}
+		k := i | mask // the |1⟩ row this |0⟩ row gains from
+		decayed := rho.Data[k*dim : (k+1)*dim]
+		for j, x := range row {
+			if j&mask != 0 {
+				orow[j] = scale(off, x)
+			} else {
+				orow[j] = x + scale(gamma, decayed[j|mask])
+			}
+		}
 	}
-	s := complex(math.Sqrt(w), 0)
-	if dst.Rows == 2 {
-		return linalg.ScaleInto(dst, s, Pauli(i))
-	}
-	return linalg.ScaleInto(dst, s, linalg.KronInto(dst, Pauli(i/4), Pauli(i%4)))
+	return out
 }
 
-// depolarizing returns the Kraus operators of the depolarising channel on
-// qubits = 1 or 2 qubits.
+// scale returns f·x for a real f, without the complex product's cross
+// terms.
+func scale(f float64, x complex128) complex128 {
+	return complex(f*real(x), f*imag(x))
+}
+
+// depolarizing returns the Kraus operators of the depolarising channel
+// ρ → (1−p)ρ + p·I/d on qubits = 1 or 2 qubits (d = 2^qubits):
+// √(1 − (d²−1)p/d²)·I, then √(p/d²)·Pᵢ for each non-identity Pauli string
+// in lexicographic order.
 func depolarizing(p float64, qubits int) Kraus {
 	p = clamp01(p)
 	d := 1 << qubits
+	m := float64(d * d)
 	ops := make(Kraus, d*d)
 	for i := range ops {
-		ops[i] = depolarizingOpInto(linalg.New(d, d), p, i)
+		w := p / m
+		if i == 0 {
+			w = 1 - (m-1)*p/m
+		}
+		var pauli *linalg.Matrix
+		if qubits == 1 {
+			pauli = Pauli(i)
+		} else {
+			pauli = linalg.Kron(Pauli(i/4), Pauli(i%4))
+		}
+		ops[i] = linalg.Scale(complex(math.Sqrt(w), 0), pauli)
 	}
 	return ops
 }
@@ -169,32 +224,18 @@ func Decohere(rho *linalg.Matrix, target, n int, t, t1, t2star float64) *linalg.
 	return DecohereW(nil, rho, target, n, t, t1, t2star)
 }
 
-// DecohereW is the workspace-threaded Decohere. The Kraus operators are
-// built in ws scratch. When no decay applies it returns rho itself; otherwise
-// the result is a fresh ws matrix owned by the caller and rho is untouched.
+// DecohereW is the workspace-threaded Decohere, applied in closed form by
+// one entrywise pass (see decayW). When no decay applies it returns rho
+// itself; otherwise the result is a fresh ws matrix owned by the caller and
+// rho is untouched. It agrees with the Kraus sums of AmplitudeDamping and
+// PhaseFlip to within 1e-12 max-abs.
 func DecohereW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, t, t1, t2star float64) *linalg.Matrix {
 	gamma, pflip := DecoherenceProbabilities(t, t1, t2star)
-	out := rho
-	if gamma > 0 {
-		// AmplitudeDamping(gamma), built in scratch.
-		k0 := ws.Get(2, 2)
-		k0.Data[0] = 1
-		k0.Data[3] = complex(math.Sqrt(1-gamma), 0)
-		k1 := ws.Get(2, 2)
-		k1.Data[1] = complex(math.Sqrt(gamma), 0)
-		ops := [2]*linalg.Matrix{k0, k1}
-		out = applyKrausW(ws, out, ops[:], target, n)
-		ws.Put(k0)
-		ws.Put(k1)
+	if gamma == 0 && pflip == 0 {
+		localShape(rho, target, 1, n) // a bad target panics either way
+		return rho
 	}
-	if pflip > 0 {
-		next := ApplyPhaseFlipW(ws, out, pflip, target, n)
-		if out != rho {
-			ws.Put(out)
-		}
-		out = next
-	}
-	return out
+	return decayW(ws, rho, gamma, pflip, target, n)
 }
 
 // NoisyGate2 applies a two-qubit unitary to adjacent qubits (target,
@@ -236,30 +277,21 @@ func NoisyGate1W(ws *linalg.Workspace, rho, gate *linalg.Matrix, target, n int, 
 }
 
 // ApplyDepolarizing1W applies the single-qubit depolarising channel with
-// probability p to qubit target of ρ, with the operators built in ws
-// scratch. Result: fresh ws matrix owned by the caller; ρ untouched.
-// Bit-identical to Depolarizing1(p).Apply(rho, target, n).
+// probability p to qubit target of ρ, in closed form (see
+// applyDepolarizingW). Result: fresh ws matrix owned by the caller; ρ
+// untouched. Agrees with Depolarizing1(p).Apply(rho, target, n) to within
+// 1e-12 max-abs.
 func ApplyDepolarizing1W(ws *linalg.Workspace, rho *linalg.Matrix, p float64, target, n int) *linalg.Matrix {
 	return applyDepolarizingW(ws, rho, p, target, n, 1)
 }
 
 // ApplyPhaseFlipW applies the dephasing channel with probability p to qubit
-// target of ρ, building the operators in ws scratch. Bit-identical to
-// PhaseFlip(p).Apply(rho, target, n).
+// target of ρ in closed form: entries off-diagonal in the target bit scale
+// by 1−2p, the rest are unchanged. Result: fresh ws matrix owned by the
+// caller; ρ untouched. Agrees with PhaseFlip(p).Apply(rho, target, n) to
+// within 1e-12 max-abs.
 func ApplyPhaseFlipW(ws *linalg.Workspace, rho *linalg.Matrix, p float64, target, n int) *linalg.Matrix {
-	p = clamp01(p)
-	s0 := complex(math.Sqrt(1-p), 0)
-	k0 := ws.Get(2, 2)
-	k0.Data[0], k0.Data[3] = s0, s0
-	k1 := ws.Get(2, 2)
-	// complex(-x, 0), not a complex negation: negating the complex would
-	// flip the imaginary zero to -0, diverging bitwise from Scale(s, Z).
-	k1.Data[0], k1.Data[3] = complex(math.Sqrt(p), 0), complex(-math.Sqrt(p), 0)
-	ops := [2]*linalg.Matrix{k0, k1}
-	out := applyKrausW(ws, rho, ops[:], target, n)
-	ws.Put(k0)
-	ws.Put(k1)
-	return out
+	return decayW(ws, rho, 0, clamp01(p), target, n)
 }
 
 func clamp01(p float64) float64 {

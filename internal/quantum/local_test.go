@@ -8,6 +8,13 @@ import (
 	"qnp/internal/linalg"
 )
 
+// The measurement projectors: MeasureW's collapse must equal conjugation
+// by these bit for bit.
+var (
+	proj0 = linalg.FromRows([][]complex128{{1, 0}, {0, 0}})
+	proj1 = linalg.FromRows([][]complex128{{0, 0}, {0, 1}})
+)
+
 // localCase is one operator, or one Kraus channel, the local conjugation
 // kernel must reproduce bit for bit against the dense reference.
 type localCase struct {
@@ -104,9 +111,11 @@ func mustPanic(fn func()) (panicked bool) {
 }
 
 // FuzzLocalConjugation pins the local conjugation kernel, and every gate,
-// channel and projector routed through it, to the dense embedding bit for
-// bit, on random states of 1–4 qubits at every target. Wrong-shape
-// operators and out-of-range targets must panic.
+// generic Kraus channel and projector routed through it, to the dense
+// embedding bit for bit, on random states of 1–4 qubits at every target,
+// and MeasureW's collapse to the dense projector conjugation. Wrong-shape
+// operators and out-of-range targets must panic. The closed-form noise
+// channels are pinned to these Kraus sums by FuzzClosedFormChannels.
 func FuzzLocalConjugation(f *testing.F) {
 	cases := localCases()
 	for i := range cases {
@@ -140,14 +149,9 @@ func FuzzLocalConjugation(f *testing.F) {
 		}
 		ws := linalg.NewWorkspace()
 		var got *linalg.Matrix
-		switch {
-		case c.channel == nil:
+		if c.channel == nil {
 			got = conjugateLocalW(ws, c.op, rho, target, n)
-		case c.name == "Depolarizing1":
-			got = ApplyDepolarizing1W(ws, rho, p, target, n)
-		case c.name == "Depolarizing2":
-			got = applyDepolarizingW(ws, rho, p, target, n, 2)
-		default:
+		} else {
 			got = Kraus(ops).ApplyW(ws, rho, target, n)
 		}
 		if !bitEqual(got, want) {

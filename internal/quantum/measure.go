@@ -39,11 +39,6 @@ type Readout struct {
 // PerfectReadout reports outcomes faithfully.
 var PerfectReadout = Readout{F0: 1, F1: 1}
 
-var (
-	proj0 = linalg.FromRows([][]complex128{{1, 0}, {0, 0}})
-	proj1 = linalg.FromRows([][]complex128{{0, 0}, {0, 1}})
-)
-
 // Measure performs a Z-basis measurement of qubit target of an n-qubit ρ.
 // It samples the physical outcome from ρ, projects ρ accordingly (the
 // physical collapse is faithful), then flips the *reported* classical bit
@@ -54,12 +49,18 @@ func Measure(rho *linalg.Matrix, target, n int, ro Readout, rng *rand.Rand) (bit
 	return MeasureW(nil, rho, target, n, ro, rng)
 }
 
-// MeasureW is the workspace-threaded Measure: scratch comes from ws and the
-// returned post state is a fresh ws matrix owned by the caller; ρ is
-// untouched. The RNG consumption and results are bit-identical to Measure.
+// MeasureW is the workspace-threaded Measure: the returned post state is a
+// fresh ws matrix owned by the caller; ρ is untouched. The RNG consumption
+// and results are bit-identical to Measure.
+//
+// The collapse P·ρ·P/prob, for P the projector onto the observed value of
+// the target bit, keeps the block of ρ whose row and column both carry
+// that value and zeroes the rest. It is computed that way, entrywise,
+// with the same roundings as the projector conjugation, so the result is
+// bit-identical to it.
 func MeasureW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, ro Readout, rng *rand.Rand) (bit int, post *linalg.Matrix) {
+	dim, mask := localShape(rho, target, 1, n)
 	// p₀ = Tr(P₀ρ): the diagonal entries whose target bit is 0.
-	mask := 1 << (n - 1 - target)
 	var p0 float64
 	for i := 0; i < rho.Rows; i++ {
 		if i&mask == 0 {
@@ -72,11 +73,24 @@ func MeasureW(ws *linalg.Workspace, rho *linalg.Matrix, target, n int, ro Readou
 	if p0 > 1 {
 		p0 = 1
 	}
-	truth, proj, prob := 1, proj1, 1-p0
+	truth, keep, prob := 1, mask, 1-p0
 	if rng.Float64() < p0 {
-		truth, proj, prob = 0, proj0, p0
+		truth, keep, prob = 0, 0, p0
 	}
-	post = conjugateLocalW(ws, proj, rho, target, n)
+	post = ws.Get(dim, dim)
+	for i := 0; i < dim; i++ {
+		if i&mask != keep {
+			continue
+		}
+		row, prow := rho.Data[i*dim:(i+1)*dim], post.Data[i*dim:(i+1)*dim]
+		for j, x := range row {
+			if j&mask == keep {
+				// Accumulated onto the zeroed entry, as the projector
+				// product does, so a −0 in ρ collapses to +0 there too.
+				prow[j] += x
+			}
+		}
+	}
 	if prob > 1e-15 {
 		post.ScaleInPlace(complex(1/prob, 0))
 	}

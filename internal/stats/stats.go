@@ -56,6 +56,8 @@
 package stats
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/big"
 	"sort"
@@ -96,6 +98,58 @@ type Agg struct {
 	// Buckets holds sparse histogram counts keyed by bucket index once
 	// the exact buffer has spilled.
 	Buckets map[int]int64 `json:",omitempty"`
+}
+
+// UnmarshalJSON decodes the wire form and rejects one that no sequence of
+// Add and Merge calls could produce, rather than leave the queries to
+// index out of range later. The exact regime (no Buckets) must hold
+// exactly Count samples; the histogram regime must hold no raw samples
+// and non-negative bucket counts that total Count; and a non-empty
+// aggregate must have Min ≤ Max. Accepted values re-encode to the same
+// bytes.
+func (a *Agg) UnmarshalJSON(b []byte) error {
+	type wire Agg // shed the method set to avoid recursion
+	var w wire
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	if err := (*Agg)(&w).validate(); err != nil {
+		return err
+	}
+	*a = Agg(w)
+	return nil
+}
+
+// validate checks the invariants UnmarshalJSON documents.
+func (a *Agg) validate() error {
+	if a.Count < 0 {
+		return fmt.Errorf("stats: negative Count %d", a.Count)
+	}
+	if a.Count > 0 && a.Min > a.Max {
+		return fmt.Errorf("stats: Min %v above Max %v", a.Min, a.Max)
+	}
+	if a.Buckets == nil {
+		if int64(len(a.Samples)) != a.Count {
+			return fmt.Errorf("stats: Count %d but %d exact samples", a.Count, len(a.Samples))
+		}
+		return nil
+	}
+	if len(a.Samples) != 0 {
+		return fmt.Errorf("stats: %d exact samples alongside histogram buckets", len(a.Samples))
+	}
+	var total int64
+	for k, c := range a.Buckets {
+		if c < 0 {
+			return fmt.Errorf("stats: bucket %d has negative count %d", k, c)
+		}
+		if total += c; total > a.Count {
+			return fmt.Errorf("stats: bucket counts exceed Count %d", a.Count)
+		}
+	}
+	if total != a.Count {
+		return fmt.Errorf("stats: bucket counts total %d, Count %d", total, a.Count)
+	}
+	return nil
 }
 
 // Add folds one sample into the aggregate.
@@ -171,7 +225,8 @@ func (a *Agg) N() int64 { return a.Count }
 // sample, independent of add/merge order. The expansion components are
 // totalled in extended precision (their combined magnitude window fits
 // well inside sumPrec bits, so the big.Float additions are exact) and
-// rounded to float64 once.
+// rounded to float64 once. A running total that overflowed float64 leaves
+// non-finite components; Sum then returns their (non-finite) float64 sum.
 func (a *Agg) Sum() float64 {
 	switch len(a.SumParts) {
 	case 0:
@@ -182,6 +237,13 @@ func (a *Agg) Sum() float64 {
 	acc := new(big.Float).SetPrec(sumPrec)
 	tmp := new(big.Float).SetPrec(sumPrec)
 	for _, p := range a.SumParts {
+		if math.IsInf(p, 0) || math.IsNaN(p) {
+			var f float64
+			for _, q := range a.SumParts {
+				f += q
+			}
+			return f
+		}
 		acc.Add(acc, tmp.SetFloat64(p))
 	}
 	f, _ := acc.Float64()

@@ -302,3 +302,92 @@ func TestAllocsAggAdd(t *testing.T) {
 		t.Errorf("1e6 adds allocated %v times, want ≤ 100", allocs)
 	}
 }
+
+// TestJSONRejectsInconsistent: wire forms no Add/Merge sequence produces
+// decode to an error instead of an aggregate whose queries panic.
+func TestJSONRejectsInconsistent(t *testing.T) {
+	for _, blob := range []string{
+		`{"Count":5,"Samples":[1]}`,
+		`{"Count":1,"Samples":[1,2]}`,
+		`{"Count":0,"Samples":[1]}`,
+		`{"Count":-1}`,
+		`{"Count":2,"Min":3,"Max":1,"Samples":[1,3]}`,
+		`{"Count":600,"Buckets":{"5":300,"7":200}}`,
+		`{"Count":600,"Buckets":{"5":700,"7":-100}}`,
+		`{"Count":600,"Buckets":{"5":9223372036854775807,"7":9223372036854775807}}`,
+		`{"Count":600,"Samples":[1],"Buckets":{"5":600}}`,
+		`{"Count":1,"Samples":["x"]}`,
+	} {
+		var a Agg
+		if err := json.Unmarshal([]byte(blob), &a); err == nil {
+			t.Errorf("%s decoded without error: %+v", blob, a)
+		}
+	}
+	// A failed decode leaves the destination as it was.
+	a := fill([]float64{1, 2})
+	if err := json.Unmarshal([]byte(`{"Count":5,"Samples":[1]}`), a); err == nil || a.Count != 2 {
+		t.Errorf("failed decode: err %v, Count %d, want an error and Count 2", err, a.Count)
+	}
+}
+
+// TestSumOverflow: a running total beyond the float64 range reports a
+// non-finite Sum instead of panicking.
+func TestSumOverflow(t *testing.T) {
+	a := fill([]float64{math.MaxFloat64, math.MaxFloat64})
+	if s := a.Sum(); !math.IsInf(s, 0) && !math.IsNaN(s) {
+		t.Errorf("overflowed Sum = %v, want non-finite", s)
+	}
+}
+
+// FuzzAggJSON decodes arbitrary bytes as an aggregate. Decoding must fail
+// cleanly or yield an aggregate whose queries and merges all succeed and
+// whose encoding round-trips to the same bytes; it must never panic.
+func FuzzAggJSON(f *testing.F) {
+	for _, n := range []int{0, 1, 40, 5000} {
+		blob, err := json.Marshal(fill(samples(n, 3)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Add([]byte(`{"Count":5,"Samples":[1]}`))
+	f.Add([]byte(`{"Count":2,"Min":1,"Max":2,"SumParts":[3],"Buckets":{"5":1,"-2147483648":1}}`))
+	others := []*Agg{fill(samples(40, 5)), fill(samples(600, 5))}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		a := new(Agg)
+		if err := json.Unmarshal(blob, a); err != nil {
+			return
+		}
+		enc, err := json.Marshal(a)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		b := new(Agg)
+		if err := json.Unmarshal(enc, b); err != nil {
+			t.Fatalf("re-decode of %s: %v", enc, err)
+		}
+		if again, _ := json.Marshal(b); string(again) != string(enc) {
+			t.Fatalf("round trip changed the encoding:\n%s\n%s", enc, again)
+		}
+		query := func(x *Agg) {
+			x.Mean()
+			for _, p := range []float64{0, 0.5, 0.9, 1} {
+				x.Percentile(p)
+			}
+			for _, v := range []float64{-1, 0, 0.5, 1e3} {
+				x.CDF(v)
+				x.CountAtOrAbove(v)
+			}
+		}
+		query(a)
+		for _, o := range others {
+			var m Agg
+			m.Merge(o)
+			m.Merge(a)
+			query(&m)
+		}
+		a.Merge(b)
+		a.Add(0.25)
+		query(a)
+	})
+}

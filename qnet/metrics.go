@@ -301,8 +301,9 @@ func (c *CircuitMetrics) Latencies(from sim.Time) []float64 {
 }
 
 // MeanFidelity averages the recorded per-delivery fidelities (0 when the
-// scenario did not record them). Exact in both modes — streaming
-// aggregates keep exact sums.
+// scenario did not record them). Both modes divide the correctly rounded
+// exact sum by the count, so they agree bit for bit: full mode folds its
+// records into a stats.Agg, streaming mode reads its FidelityAgg.
 func (c *CircuitMetrics) MeanFidelity() float64 {
 	if c.streaming {
 		if c.FidelityAgg == nil {
@@ -310,9 +311,11 @@ func (c *CircuitMetrics) MeanFidelity() float64 {
 		}
 		return c.FidelityAgg.Mean()
 	}
-	var s runner.Stats
-	s.Add(c.Fidelities...)
-	return s.Mean()
+	var agg stats.Agg
+	for _, f := range c.Fidelities {
+		agg.Add(f)
+	}
+	return agg.Mean()
 }
 
 // AllComplete reports whether every submitted finite request finished. In

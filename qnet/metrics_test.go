@@ -150,6 +150,32 @@ func TestStreamingModeAgreement(t *testing.T) {
 // wire form, and a streaming Metrics round-trips through JSON
 // bit-identically with working lookup helpers — the contract the sharded
 // backend rides on.
+// TestMeanFidelityExactSum: full mode must average with the same
+// correctly rounded sum as streaming mode. The fidelities are chosen so
+// that left-to-right float addition rounds each 1e-16 away, while the
+// exact total 1 + 2e-16 rounds up to 1 + 2⁻⁵².
+func TestMeanFidelityExactSum(t *testing.T) {
+	fids := []float64{1, 1e-16, 1e-16}
+	var naive runner.Stats
+	naive.Add(fids...)
+	agg := new(stats.Agg)
+	for _, f := range fids {
+		agg.Add(f)
+	}
+	full := &CircuitMetrics{Fidelities: fids}
+	str := &CircuitMetrics{streaming: true, FidelityAgg: agg}
+	want := (1 + 0x1p-52) / 3
+	if naive.Mean() == want {
+		t.Fatalf("naive mean %v already equals the exact one: the fixture no longer discriminates", naive.Mean())
+	}
+	if got := full.MeanFidelity(); got != want {
+		t.Errorf("full-mode MeanFidelity = %v, want the exact-sum mean %v", got, want)
+	}
+	if got := str.MeanFidelity(); got != want {
+		t.Errorf("streaming MeanFidelity = %v, want %v", got, want)
+	}
+}
+
 func TestStreamingSpecAndJSONRoundTrip(t *testing.T) {
 	sc := Scenario{
 		Name:     "rt-streaming",
