@@ -187,17 +187,21 @@ func BenchmarkWernerFig9(b *testing.B) {
 
 // BenchmarkSwapHeavyPhysics pits the two engines against each other on the
 // physics hot path itself: herald two link pairs, swap them, read out the
-// merged pair's fidelity. The exact engine pays 16×16 joint-state algebra
-// per swap; the scalar engine a handful of float operations — this pair of
-// benches records that gap (the CI floor is 5×). Scenario-level wall time
-// closes much of the gap again because the event loop, not the physics,
-// dominates there; this bench isolates the physics tier.
+// merged pair's fidelity. Each side swaps as a device does: the exact
+// engine contracts the two 4×4 pair states against the precomputed
+// Bell-measurement effects (quantum.SwapEffects, built once, as a device
+// builds it on its first swap); the scalar engine runs a handful of float
+// operations. The pair of benches records that gap; no gate enforces a
+// ratio. Scenario-level wall time closes much of the gap again because
+// the event loop, not the physics, dominates there; this bench isolates
+// the physics tier.
 func BenchmarkSwapHeavyPhysics(b *testing.B) {
 	params := hardware.Simulation()
 	link := hardware.LabLink()
 	const alpha = 0.1
 	model := link.Model(params, alpha)
 	scfg := params.SwapConfig()
+	fx := quantum.NewSwapEffects(scfg)
 	b.Run("exact", func(b *testing.B) {
 		ws := linalg.NewWorkspace()
 		rng := rand.New(rand.NewSource(1))
@@ -205,7 +209,7 @@ func BenchmarkSwapHeavyPhysics(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rho1, i1 := link.GenerateW(ws, params, alpha, rng)
 			rho2, i2 := link.GenerateW(ws, params, alpha, rng)
-			res := quantum.SwapW(ws, rho1, rho2, scfg, rng)
+			res := fx.Swap(ws, rho1, 1, rho2, 0, rng)
 			f = quantum.Fidelity(res.Rho, quantum.Combine(i1, i2, res.Outcome))
 			ws.Put(rho1)
 			ws.Put(rho2)

@@ -58,6 +58,9 @@ type Device struct {
 	// live on one simulation goroutine, and buffers may migrate freely
 	// between the pools of devices in the same simulation.
 	ws *linalg.Workspace
+	// swapFx is the exact engine's entanglement swap for params, built on
+	// the first exact swap.
+	swapFx *quantum.SwapEffects
 }
 
 // New creates a device for node id with the given hardware parameters,
@@ -275,24 +278,16 @@ func (d *Device) Swap(q1, q2 *Qubit, done func(merged *Pair, outcome quantum.Bel
 			sres := werner.Swap(p1.w, p2.w, d.params.SwapConfig(), d.rng)
 			mergedW, outcome = sres.W, sres.Outcome
 		} else {
-			// Orient so the swap circuit sees (remote1, local1) ⊗ (local2,
-			// remote2). Exchanging the qubits of a Bell-diagnosable state keeps
-			// its Bell index (|Ψ−> only changes global phase).
-			rho1 := p1.rho
-			if s1 == 0 {
-				rho1 = quantum.ApplyGate2W(d.ws, rho1, quantum.SWAP, 0, 2)
+			if d.swapFx == nil {
+				d.swapFx = quantum.NewSwapEffects(d.params.SwapConfig())
 			}
-			rho2 := p2.rho
-			if s2 == 1 {
-				rho2 = quantum.ApplyGate2W(d.ws, rho2, quantum.SWAP, 0, 2)
-			}
-			res := quantum.SwapW(d.ws, rho1, rho2, d.params.SwapConfig(), d.rng)
-			if rho1 != p1.rho {
-				d.ws.Put(rho1)
-			}
-			if rho2 != p2.rho {
-				d.ws.Put(rho2)
-			}
+			// The local halves are the measured qubits: side s1 of the first
+			// pair, s2 of the second. The contraction reads each pair in
+			// whichever order it is stored, and the merged pair keeps the
+			// first pair's remote qubit first. Exchanging the qubits of a
+			// Bell-diagnosable state keeps its Bell index (|Ψ−> only changes
+			// global phase).
+			res := d.swapFx.Swap(d.ws, p1.rho, s1, p2.rho, s2, d.rng)
 			// The Bell measurement consumed both input pairs: recycle their
 			// states and nil the fields so a stale read fails fast instead of
 			// observing a recycled buffer.

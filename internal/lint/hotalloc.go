@@ -26,8 +26,11 @@ var HotAllocAnalyzer = &analysis.Analyzer{
 	Run: runHotAlloc,
 }
 
-// hotAllocTwins maps package path -> allocating function/method name ->
-// the workspace-threaded twin to use instead.
+// hotAllocTwins maps package path -> allocating API -> the
+// workspace-threaded twin to use instead. A package function is keyed by
+// its name and a method by "Type.Method" (see hotAllocKey), so a method
+// that merely shares a banned function's name, such as SwapEffects.Swap
+// beside the package function Swap, is not mistaken for it.
 var hotAllocTwins = map[string]map[string]string{
 	modulePath + "/internal/linalg": {
 		"Mul":          "MulInto",
@@ -46,7 +49,7 @@ var hotAllocTwins = map[string]map[string]string{
 		"Measure":        "MeasureW",
 		"MeasureInBasis": "MeasureInBasisW",
 		"Swap":           "SwapW",
-		"Apply":          "ApplyW", // Kraus method
+		"Kraus.Apply":    "Kraus.ApplyW",
 		"BellProjector":  "BellProjectorCached",
 	},
 }
@@ -94,15 +97,31 @@ func checkHotAllocIn(pass *analysis.Pass, sup *suppressor, n ast.Node, wsInScope
 			if fn == nil || fn.Pkg() == nil {
 				return true
 			}
-			twin, banned := hotAllocTwins[fn.Pkg().Path()][fn.Name()]
+			key := hotAllocKey(fn)
+			twin, banned := hotAllocTwins[fn.Pkg().Path()][key]
 			if !banned {
 				return true
 			}
 			sup.report(c.Pos(), "%s.%s allocates on every call but a workspace is in scope here — use %s.%s (//qnetlint:allow hotalloc <reason> for deliberate cold-path use)",
-				fn.Pkg().Name(), fn.Name(), fn.Pkg().Name(), twin)
+				fn.Pkg().Name(), key, fn.Pkg().Name(), twin)
 		}
 		return true
 	})
+}
+
+// hotAllocKey names fn the way hotAllocTwins keys it: the bare name for a
+// package function, "Type.Method" for a method of a named type, and ""
+// (never banned) for a method of an unnamed interface.
+func hotAllocKey(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return fn.Name()
+	}
+	named, ok := derefNamed(sig.Recv().Type())
+	if !ok {
+		return ""
+	}
+	return named.Obj().Name() + "." + fn.Name()
 }
 
 // funcHasWorkspace reports whether fd is workspace-threaded: a

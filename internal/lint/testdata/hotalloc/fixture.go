@@ -2,7 +2,12 @@
 // hot-path package, so workspace-threaded functions are under the rule.
 package device
 
-import "qnp/internal/linalg"
+import (
+	"math/rand"
+
+	"qnp/internal/linalg"
+	"qnp/internal/quantum"
+)
 
 // A workspace parameter puts the function in scope: allocating twins are
 // flagged.
@@ -44,4 +49,14 @@ func hotClosure(ws *linalg.Workspace, a, b *linalg.Matrix) func() *linalg.Matrix
 func allowedAlloc(ws *linalg.Workspace, a, b *linalg.Matrix) *linalg.Matrix {
 	//qnetlint:allow hotalloc fixture exercises the cold-path escape hatch
 	return linalg.Mul(a, b)
+}
+
+// The twin table is keyed by receiver: package functions and Kraus.Apply
+// stay banned, while a method that only shares a banned function's name
+// (SwapEffects.Swap beside the package function Swap) is not flagged.
+func hotQuantum(ws *linalg.Workspace, k quantum.Kraus, fx *quantum.SwapEffects, a, b *linalg.Matrix, rng *rand.Rand) {
+	quantum.Swap(a, b, quantum.PerfectSwap, rng) // want `quantum.Swap allocates on every call but a workspace is in scope here — use quantum.SwapW`
+	k.Apply(a, 0, 2)                             // want `quantum.Kraus.Apply allocates on every call but a workspace is in scope here — use quantum.Kraus.ApplyW`
+	ws.Put(fx.Swap(ws, a, 1, b, 0, rng).Rho)
+	ws.Put(k.ApplyW(ws, a, 0, 2))
 }

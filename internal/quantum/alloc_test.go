@@ -54,6 +54,24 @@ func TestAllocsSwapW(t *testing.T) {
 	}
 }
 
+// TestAllocsSwapEffects gates the contracted swap at zero allocs/op on a
+// warm workspace, in both orientations.
+func TestAllocsSwapEffects(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation gates run with -race off")
+	}
+	rng := rand.New(rand.NewSource(7))
+	fx := NewSwapEffects(SwapConfig{TwoQubitFidelity: 0.98, SingleQubitFidelity: 0.99, Readout: Readout{F0: 0.95, F1: 0.95}})
+	a, b := WernerState(0.95), WernerFor(0.9, PsiMinus)
+	ws := warmWS(func(ws *linalg.Workspace) { ws.Put(fx.Swap(ws, a, 1, b, 0, rng).Rho) })
+	if allocs := testing.AllocsPerRun(100, func() {
+		ws.Put(fx.Swap(ws, a, 1, b, 0, rng).Rho)
+		ws.Put(fx.Swap(ws, a, 0, b, 1, rng).Rho)
+	}); allocs != 0 {
+		t.Errorf("SwapEffects.Swap allocs/op = %v, want 0", allocs)
+	}
+}
+
 func TestAllocsDecohereAndMeasureW(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation gates run with -race off")

@@ -8,9 +8,10 @@ import (
 )
 
 // Per-kernel benchmarks for the density-matrix hot path, each on a warm
-// workspace: one noisy entanglement swap, one noisy two-qubit gate on the
-// swap's four-qubit joint state, one T1/T2 decoherence step on a pair, and
-// one readout of a pair qubit.
+// workspace: one noisy entanglement swap, as the SwapW circuit reference
+// and as the production contraction over precomputed effects; one noisy
+// two-qubit gate on the circuit's four-qubit joint state; one T1/T2
+// decoherence step on a pair; and one readout of a pair qubit.
 
 func BenchmarkSwapW(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
@@ -21,6 +22,18 @@ func BenchmarkSwapW(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ws.Put(SwapW(ws, x, y, cfg, rng).Rho)
+	}
+}
+
+func BenchmarkSwapEffects(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	fx := NewSwapEffects(SwapConfig{TwoQubitFidelity: 0.98, SingleQubitFidelity: 0.99, Readout: Readout{F0: 0.95, F1: 0.95}})
+	x, y := WernerState(0.95), WernerFor(0.9, PsiMinus)
+	ws := warmWS(func(ws *linalg.Workspace) { ws.Put(fx.Swap(ws, x, 1, y, 0, rng).Rho) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws.Put(fx.Swap(ws, x, 1, y, 0, rng).Rho)
 	}
 }
 

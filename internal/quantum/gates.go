@@ -5,9 +5,13 @@
 // joint four-qubit state, teleportation and BBPSSW distillation.
 //
 // Pairs are the unit of state. A pair's density matrix is 4×4 in the basis
-// |00>,|01>,|10>,|11> with the *left* qubit first. Entanglement swaps build
-// the 16×16 joint state of two pairs, apply the noisy Bell-state measurement
-// at the middle node, and return the exact post-measurement remote pair.
+// |00>,|01>,|10>,|11> with the *left* qubit first. An entanglement swap
+// applies the noisy Bell-state measurement at the middle node and returns
+// the exact post-measurement remote pair. SwapEffects does it without a
+// joint state: it folds the measurement circuit into four 4×4 effects on
+// the measured qubits once per SwapConfig, and each swap contracts the two
+// pair states against the observed outcome's effect. SwapW runs the
+// circuit on the 16×16 joint state and is kept as the reference.
 //
 // Gates and generic Kraus channels act locally: a 2×2 or 4×4 operator is
 // applied straight to the rows and columns of the qubits it touches, never

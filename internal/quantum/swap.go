@@ -53,9 +53,14 @@ var (
 
 // SwapW is the workspace-threaded Swap: every intermediate joint state comes
 // from ws and is returned to it; the resulting Rho is a fresh ws matrix whose
-// ownership transfers to the caller (it typically becomes the merged pair's
-// long-lived state). The inputs are untouched, and RNG consumption and
-// results are bit-identical to Swap.
+// ownership transfers to the caller. The inputs are untouched, and RNG
+// consumption and results are bit-identical to Swap.
+//
+// SwapW runs the measurement circuit literally on the 16×16 joint state,
+// which makes it the reference the production swap is tested against:
+// SwapEffects.Swap, which the device and the routing planner call, must
+// announce the same outcome from the same RNG draws and agree with SwapW's
+// state to within 1e-12 (FuzzSwapEffects).
 func SwapW(ws *linalg.Workspace, rhoAB, rhoBC *linalg.Matrix, cfg SwapConfig, rng *rand.Rand) SwapResult {
 	if rhoAB.Rows != 4 || rhoBC.Rows != 4 {
 		panic("quantum: Swap needs 4×4 pair states")

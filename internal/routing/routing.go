@@ -236,6 +236,12 @@ type Controller struct {
 	// lock, and it holds at most one entry per distinct planKey a run asks
 	// for.
 	plans map[planKey]planResult
+	// swapFx is worstCase's entanglement swap, built for swapCfg, the
+	// SwapConfig it derives from Params; it is rebuilt when Params change.
+	// rng is worstCase's fixed-seed stream, reseeded on every call.
+	swapFx  *quantum.SwapEffects
+	swapCfg quantum.SwapConfig
+	rng     *rand.Rand
 }
 
 // Refit is one circuit's re-fitted allocation after a membership change.
@@ -440,16 +446,23 @@ func (c *Controller) worstCase(link hardware.LinkConfig, linkF float64, hops int
 	// Deterministic composition with a fixed RNG: swap outcomes only select
 	// which Bell state is declared, not how much fidelity survives, so any
 	// outcome sequence gives the same worst-case number (verified in tests).
-	rng := rand.New(rand.NewSource(1))
+	cfg := quantum.SwapConfig{
+		TwoQubitFidelity:    c.Params.Gates.TwoQubitFidelity,
+		SingleQubitFidelity: c.Params.Gates.SingleQubitFidelity,
+		Readout:             quantum.PerfectReadout,
+	}
+	if c.swapFx == nil || c.swapCfg != cfg {
+		c.swapFx, c.swapCfg = quantum.NewSwapEffects(cfg), cfg
+	}
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(1))
+	}
+	c.rng.Seed(1)
 	cur := agedPair()
 	idx := quantum.PsiPlus
 	for h := 1; h < hops; h++ {
 		next := agedPair()
-		res := quantum.Swap(cur, next, quantum.SwapConfig{
-			TwoQubitFidelity:    c.Params.Gates.TwoQubitFidelity,
-			SingleQubitFidelity: c.Params.Gates.SingleQubitFidelity,
-			Readout:             quantum.PerfectReadout,
-		}, rng)
+		res := c.swapFx.Swap(nil, cur, 1, next, 0, c.rng)
 		idx = quantum.Combine(idx, quantum.PsiPlus, res.Outcome)
 		cur = res.Rho
 	}

@@ -399,18 +399,31 @@ func (m *Metrics) Circuit(id CircuitID) *CircuitMetrics { return m.byID[id] }
 // corrupt stream) is rejected rather than decoded into a wrong wait
 // state. MetricsStreaming carries no records to check against, so its
 // counters are trusted as serialized.
+//
+// A null circuit or request record, and a streaming circuit without its
+// delivery and latency aggregates, are rejected too: no encoder writes
+// them, and the queries would dereference them.
 func (m *Metrics) UnmarshalJSON(b []byte) error {
 	type plain Metrics // shed the method set to avoid recursion
 	if err := json.Unmarshal(b, (*plain)(m)); err != nil {
 		return err
 	}
 	m.byID = make(map[CircuitID]*CircuitMetrics, len(m.Circuits))
-	for _, cm := range m.Circuits {
+	for i, cm := range m.Circuits {
+		if cm == nil {
+			return fmt.Errorf("qnet: circuit record %d is null", i)
+		}
 		m.byID[cm.ID] = cm
 		cm.streaming = m.Mode.streaming()
+		if cm.streaming && (cm.DeliveryAgg == nil || cm.LatencyAgg == nil) {
+			return fmt.Errorf("qnet: streaming circuit %q lacks its delivery or latency aggregate", cm.ID)
+		}
 		cm.reqByID = make(map[RequestID]*RequestMetrics, len(cm.Requests))
 		pending := 0
-		for _, rm := range cm.Requests {
+		for j, rm := range cm.Requests {
+			if rm == nil {
+				return fmt.Errorf("qnet: circuit %q: request record %d is null", cm.ID, j)
+			}
 			cm.reqByID[rm.ID] = rm
 			if rm.Pairs > 0 && !rm.Done && !rm.Rejected {
 				pending++
