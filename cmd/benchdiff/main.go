@@ -92,8 +92,10 @@ func normalizeName(name string) string {
 }
 
 // parseBench reads `go test -bench` text and returns the normalised results.
+// A benchmark reported on several lines (`-count=N`) keeps the median of
+// each number instead of the last line's.
 func parseBench(r *bufio.Scanner) (map[string]Result, error) {
-	results := make(map[string]Result)
+	runs := make(map[string][]Result)
 	for r.Scan() {
 		line := strings.TrimSpace(r.Text())
 		if !strings.HasPrefix(line, "Benchmark") {
@@ -122,12 +124,54 @@ func parseBench(r *bufio.Scanner) (map[string]Result, error) {
 				res.Metrics[unit] = v
 			}
 		}
-		if len(res.Metrics) == 0 {
-			res.Metrics = nil
-		}
-		results[name] = res
+		runs[name] = append(runs[name], res)
+	}
+	results := make(map[string]Result, len(runs))
+	for name, rs := range runs {
+		results[name] = medianResult(rs)
 	}
 	return results, r.Err()
+}
+
+// medianResult combines repeated runs of one benchmark field by field. A
+// custom metric takes the median over the runs that report it.
+func medianResult(rs []Result) Result {
+	field := func(get func(Result) float64) float64 {
+		vs := make([]float64, len(rs))
+		for i, r := range rs {
+			vs[i] = get(r)
+		}
+		return median(vs)
+	}
+	out := Result{
+		NsOp:     field(func(r Result) float64 { return r.NsOp }),
+		AllocsOp: field(func(r Result) float64 { return r.AllocsOp }),
+		BytesOp:  field(func(r Result) float64 { return r.BytesOp }),
+	}
+	metrics := make(map[string][]float64)
+	for _, r := range rs {
+		for unit, v := range r.Metrics {
+			metrics[unit] = append(metrics[unit], v)
+		}
+	}
+	if len(metrics) > 0 {
+		out.Metrics = make(map[string]float64, len(metrics))
+		for unit, vs := range metrics {
+			out.Metrics[unit] = median(vs)
+		}
+	}
+	return out
+}
+
+// median returns the middle value of vs (the mean of the two middle values
+// for an even count). It sorts vs in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 func runParse(sha, out string) error {

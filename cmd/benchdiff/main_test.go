@@ -94,3 +94,37 @@ func TestCompareStillFailsOnMissingAndRegressed(t *testing.T) {
 		t.Errorf("regression not flagged:\n%s", out)
 	}
 }
+
+// TestParseKeepsMedianOfRepeats: with -count=N a benchmark prints N result
+// lines; the parsed result is the median of each number, not the last
+// line, and custom metrics follow the same rule.
+func TestParseKeepsMedianOfRepeats(t *testing.T) {
+	in := `goos: linux
+BenchmarkPlanCold-2   5   900 ns/op   10 B/op   3 allocs/op   7 events/s
+BenchmarkPlanCold-2   5   100 ns/op   30 B/op   1 allocs/op   5 events/s
+BenchmarkPlanCold-2   5   300 ns/op   20 B/op   2 allocs/op   9 events/s
+BenchmarkPlanCold-2   5   200 ns/op   40 B/op   2 allocs/op
+BenchmarkPlanCold-2   5   500 ns/op   50 B/op   2 allocs/op
+BenchmarkOnce-2       1   42 ns/op
+BenchmarkEven-2       1   10 ns/op
+BenchmarkEven-2       1   20 ns/op
+PASS
+`
+	got, err := parseBench(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := got["BenchmarkPlanCold"]
+	if pc.NsOp != 300 || pc.BytesOp != 30 || pc.AllocsOp != 2 {
+		t.Errorf("PlanCold = %+v, want medians 300 ns/op, 30 B/op, 2 allocs/op", pc)
+	}
+	if pc.Metrics["events/s"] != 7 {
+		t.Errorf("PlanCold events/s = %v, want the median of the three lines reporting it (7)", pc.Metrics["events/s"])
+	}
+	if got["BenchmarkOnce"].NsOp != 42 || got["BenchmarkOnce"].Metrics != nil {
+		t.Errorf("single run = %+v, want 42 ns/op and no metrics", got["BenchmarkOnce"])
+	}
+	if got["BenchmarkEven"].NsOp != 15 {
+		t.Errorf("even count = %v ns/op, want the middle mean 15", got["BenchmarkEven"].NsOp)
+	}
+}

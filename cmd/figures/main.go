@@ -19,6 +19,8 @@
 // processes (add -resume DIR for a checkpoint journal that survives
 // kills); the per-replica seeding makes every figure bit-identical for any
 // worker or shard count. Ctrl-C cancels the in-flight figure.
+// -cpuprofile and -memprofile write pprof profiles of the process (not of
+// its shard workers); they never change stdout.
 package main
 
 import (
@@ -30,6 +32,7 @@ import (
 	"os/signal"
 	"time"
 
+	"qnp/cmd/internal/profiling"
 	"qnp/internal/experiments"
 	"qnp/internal/runner"
 	"qnp/qnet"
@@ -51,6 +54,7 @@ func main() {
 	workerTimeout := flag.Duration("worker-timeout", 0, "heartbeat liveness bound for -shards workers (0 = default of 10m; negative disables)")
 	progress := flag.Bool("progress", false, "print replica progress to stderr")
 	physics := flag.String("physics", "exact", "pair-state engine for the validation figures (9, eer, churn, city): exact or werner; the other figures always run exact")
+	prof := profiling.Register(flag.CommandLine)
 	flag.Parse()
 
 	o := experiments.DefaultOptions()
@@ -94,6 +98,17 @@ func main() {
 			}
 		}
 	}
+
+	stopProfile, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "profiling:", err)
+		os.Exit(2)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, "profiling:", err)
+		}
+	}()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -17,7 +17,8 @@
 // -replicas R fans R independent seeded replicas across a worker pool and
 // reports aggregate means; -shards N spreads them over N work-stealing
 // worker processes instead (-resume DIR adds a checkpoint journal), with
-// bit-identical aggregates.
+// bit-identical aggregates. -cpuprofile and -memprofile write pprof
+// profiles of the process.
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 	"log"
 	"os"
 
+	"qnp/cmd/internal/profiling"
 	"qnp/internal/runner"
 	"qnp/internal/sim"
 	"qnp/qnet"
@@ -67,6 +69,7 @@ func main() {
 	resume := flag.String("resume", "", "checkpoint journal directory: completed replicas spill here and a re-run resumes instead of restarting (implies -shards 1)")
 	workerTimeout := flag.Duration("worker-timeout", 0, "heartbeat liveness bound for -shards workers (0 = default of 10m; negative disables)")
 	verbose := flag.Bool("v", false, "log every delivery (single replica only)")
+	prof := profiling.Register(flag.CommandLine)
 	flag.Parse()
 
 	die := func(format string, args ...any) {
@@ -240,6 +243,23 @@ func main() {
 		}
 	}
 
+	stopProfile, err := prof.Start()
+	if err != nil {
+		die("profiling: %v", err)
+	}
+	endProfile := func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, "profiling:", err)
+		}
+	}
+	defer endProfile()
+	// fatal ends the profiles before exiting: os.Exit skips deferred calls,
+	// and a failing run is the one most worth profiling.
+	fatal := func(format string, args ...any) {
+		endProfile()
+		log.Fatalf(format, args...)
+	}
+
 	if *replicas > 1 {
 		ropts := qnet.ReplicaOptions{Replicas: *replicas, Workers: *workers, Seed: *seed, Timeout: *workerTimeout}
 		if *resume != "" && *shards == 0 {
@@ -253,7 +273,7 @@ func main() {
 		}
 		ms, err := sc.RunReplicated(ropts)
 		if err != nil {
-			log.Fatal(err)
+			fatal("%v", err)
 		}
 		ok := 0
 		for _, m := range ms {
@@ -297,7 +317,7 @@ func main() {
 
 	res, err := sc.Run()
 	if err != nil {
-		log.Fatal(err)
+		fatal("%v", err)
 	}
 	m := res.Metrics
 	fmt.Printf("%s: %d nodes, %d links; horizon %.0f s (ran %.3f s of virtual time)\n",
@@ -341,7 +361,7 @@ func main() {
 		discards += m.NodeStats[id].Discards
 	}
 	if totalDelivered == 0 {
-		log.Fatalf("no pairs delivered within %.0f simulated seconds", *horizon)
+		fatal("no pairs delivered within %.0f simulated seconds", *horizon)
 	}
 	fmt.Printf("totals: %d pairs (%.2f/s aggregate); intermediate nodes: %d swaps, %d cutoff discards; classical messages: %d\n",
 		m.TotalDelivered(), m.AggregateEER(), swaps, discards, m.ClassicalMessages)

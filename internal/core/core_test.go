@@ -32,6 +32,7 @@ type chainConfig struct {
 	qubits    int
 	seed      int64
 	perfectRO bool
+	physics   device.Physics
 }
 
 func defaultChainConfig(n int) chainConfig {
@@ -63,7 +64,7 @@ func buildChain(t *testing.T, cfg chainConfig) *chain {
 		id := netsim.NodeID(fmt.Sprintf("n%d", i))
 		c.ids = append(c.ids, id)
 		nw.AddNode(id)
-		devs[i] = device.New(s, string(id), params)
+		devs[i] = device.NewWithPhysics(s, string(id), params, cfg.physics)
 	}
 	for i := 0; i+1 < cfg.n; i++ {
 		a, b := string(c.ids[i]), string(c.ids[i+1])
@@ -73,10 +74,16 @@ func buildChain(t *testing.T, cfg chainConfig) *chain {
 		nw.Connect(c.ids[i], c.ids[i+1], link.PropagationDelay())
 		fabric.Add(linklayer.NewEngine(s, name, link, devs[i], devs[i+1]))
 	}
+	tracks := new(TrackPool)
 	for i := 0; i < cfg.n; i++ {
-		c.nodes = append(c.nodes, NewNode(s, nw, devs[i], fabric))
+		c.nodes = append(c.nodes, NewNode(s, nw, devs[i], fabric, tracks))
 	}
-	// Install the circuit "vc" along the whole chain.
+	c.install(cfg)
+	return c
+}
+
+// install installs the circuit "vc" along the whole chain.
+func (c *chain) install(cfg chainConfig) {
 	for i := 0; i < cfg.n; i++ {
 		e := RoutingEntry{
 			Circuit: "vc",
@@ -99,7 +106,6 @@ func buildChain(t *testing.T, cfg chainConfig) *chain {
 		}
 		c.nodes[i].InstallCircuit(e)
 	}
-	return c
 }
 
 func (c *chain) head() *Node { return c.nodes[0] }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"qnp/internal/device"
 	"qnp/internal/linklayer"
 	"qnp/internal/quantum"
 )
@@ -170,18 +171,19 @@ func (n *Node) admitQueued(cs *circuit) {
 
 // --- End-node LINK rule (Algorithms 1 and 4) -------------------------------
 
-func (n *Node) endLinkRule(cs *circuit, slot *pairSlot) {
+func (n *Node) endLinkRule(cs *circuit, corr linklayer.Correlator, idx quantum.BellIndex, q *device.Qubit) {
 	rs := cs.dmx.next()
 	if rs == nil {
 		// No assignable request (drain window after completion): free the
 		// qubit and leave a tombstone so a late TRACK from the other end is
 		// answered with EXPIRE.
-		cs.endExpired[slot.corr] = n.sim.Now()
-		n.dev.Free(slot.qubit)
+		cs.endExpired[corr] = n.sim.Now()
+		n.dev.Free(q)
 		return
 	}
-	it := &inTransitEntry{rs: rs, slot: slot}
-	cs.inTransit[slot.corr] = it
+	it := &inTransitEntry{rs: rs, slot: pairSlot{corr: corr, idx: idx, qubit: q}}
+	slot := &it.slot
+	cs.inTransit[corr] = it
 
 	// Head-end designates fidelity test rounds, cycling the bases. The
 	// monotonic assignment counter keys the choice, so re-assigned slots
@@ -206,9 +208,9 @@ func (n *Node) endLinkRule(cs *circuit, slot *pairSlot) {
 	}
 	if cs.role == RoleHead {
 		tm.Epoch = cs.dmx.latest
-		n.sendDown(cs, tm)
+		n.sendTrackDown(cs, tm)
 	} else {
-		n.sendUp(cs, tm)
+		n.sendTrackUp(cs, tm)
 	}
 
 	// Consume-early modes: measure now, or hand the qubit to the app now.
@@ -258,7 +260,7 @@ func (n *Node) measureLocal(cs *circuit, it *inTransitEntry, basis quantum.Basis
 
 // --- End-node TRACK rule (Algorithms 2 and 5) ------------------------------
 
-func (n *Node) endTrackRule(cs *circuit, m TrackMsg) {
+func (n *Node) endTrackRule(cs *circuit, m *TrackMsg) {
 	if _, dead := cs.endExpired[m.LinkCorr]; dead {
 		delete(cs.endExpired, m.LinkCorr)
 		// Answer with EXPIRE toward the TRACK's origin end-node so it can
@@ -301,7 +303,7 @@ func (n *Node) endTrackRule(cs *circuit, m TrackMsg) {
 	}
 
 	if m.Test || it.test {
-		n.resolveTestRound(cs, it, m)
+		n.resolveTestRound(cs, it, *m)
 		return
 	}
 	if it.measured || it.rs.req.Type == Measure {
@@ -391,7 +393,9 @@ func (n *Node) endExpireRule(cs *circuit, m ExpireMsg) {
 
 // --- Fidelity test rounds ----------------------------------------------------
 
-// resolveTestRound handles a confirmed test-round chain at either end.
+// resolveTestRound handles a confirmed test-round chain at either end. m is
+// a copy of the TRACK: the tail's report may run after the delivered record
+// went back to the pool.
 func (n *Node) resolveTestRound(cs *circuit, it *inTransitEntry, m TrackMsg) {
 	cs.dmx.unassign(it.rs) // test rounds do not count toward the request
 	if cs.role == RoleTail {

@@ -197,7 +197,8 @@ type CompleteMsg struct {
 // TrackMsg is the key quantum data plane message: it follows the chain of
 // link-pairs and entanglement swaps along the circuit, collecting swap
 // records, so the end-nodes can identify the delivered pair and its Bell
-// state (§4.1 "Lazy entanglement tracking", Appendix C.2).
+// state (§4.1 "Lazy entanglement tracking", Appendix C.2). Nodes send it by
+// pointer, in a record from the network's pool (see TrackPool).
 type TrackMsg struct {
 	Circuit CircuitID
 	// Request is the origin end-node's demultiplexing assignment; the
@@ -223,6 +224,26 @@ type TrackMsg struct {
 	// in TestBasis at both ends instead of being delivered.
 	Test      bool
 	TestBasis quantum.Basis
+
+	// pool is the network's TRACK pool for records drawn from it (nil
+	// otherwise); free marks a record sitting in the pool.
+	pool *TrackPool
+	free bool
+}
+
+// Recycle returns a pooled TRACK record to its network's pool; the network
+// calls it once the receiving node's handlers have returned. It is a no-op
+// for records not drawn from a pool, and panics for a record already
+// returned.
+func (m *TrackMsg) Recycle() {
+	if m.pool == nil {
+		return
+	}
+	if m.free {
+		panic("core: TRACK record released twice")
+	}
+	m.free = true
+	m.pool.free = append(m.pool.free, m)
 }
 
 // ExpireMsg notifies an end-node that the chain its TRACK followed was

@@ -64,18 +64,68 @@ type AppCallbacks struct {
 // pairSlot tracks one local link-pair half at a node. The qubit is the
 // stable handle: remote entanglement swaps rewire qubit→pair bindings, so
 // the current (possibly multi-hop) pair is always qubit.Pair().
+//
+// An intermediate node's slots cycle through the node's free list (see
+// newSlot and releaseSlot); the slot itself is the cutoff timer's Action and
+// the swap's SwapDone, so neither allocates. An end-node slot lives inside
+// its inTransitEntry instead: measurement callbacks outlive the entry's
+// map slot.
 type pairSlot struct {
-	corr      linklayer.Correlator
-	idx       quantum.BellIndex // heralded link-pair Bell state
-	qubit     *device.Qubit
-	cutoff    sim.Event
-	arrivedAt sim.Time
+	corr   linklayer.Correlator
+	idx    quantum.BellIndex // heralded link-pair Bell state
+	qubit  *device.Qubit
+	cutoff sim.Event
 	// moving marks a half mid-transfer to a storage qubit (near-term
 	// platform); it cannot be swapped until the move completes.
 	moving bool
+
+	// Intermediate slots only: the owning node and circuit, the queue the
+	// slot joined, and (on the upstream slot of a swap in flight) the
+	// downstream partner.
+	node         *Node
+	cs           *circuit
+	fromUpstream bool
+	partner      *pairSlot
+	// abandoned marks a moving slot that expired or whose circuit was
+	// uninstalled mid-move: the move's completion frees the half and
+	// releases the slot.
+	abandoned bool
+	// free and next are the free-list state.
+	free bool
+	next *pairSlot
 }
 
 func (s *pairSlot) pair() *device.Pair { return s.qubit.Pair() }
+
+// Fire is the slot's cutoff timer (Algorithm 9).
+func (s *pairSlot) Fire() { s.node.expiryRule(s.cs, s, s.fromUpstream) }
+
+// Swapped completes the swap of this upstream slot with its partner.
+func (s *pairSlot) Swapped(_ *device.Pair, outcome quantum.BellIndex) {
+	s.node.swapDone(s.cs, s, s.partner, outcome)
+}
+
+// newSlot takes an intermediate slot from the node's free list.
+func (n *Node) newSlot() *pairSlot {
+	s := n.freeSlots
+	if s == nil {
+		return &pairSlot{node: n}
+	}
+	n.freeSlots = s.next
+	s.next, s.free = nil, false
+	return s
+}
+
+// releaseSlot returns an intermediate slot to the free list once nothing
+// refers to it: its cutoff fired or was cancelled, and it left its queue
+// (or its circuit was torn down). Releasing a free slot panics.
+func (n *Node) releaseSlot(s *pairSlot) {
+	if s.free {
+		panic(fmt.Sprintf("core %s: pair slot released twice", n.id))
+	}
+	*s = pairSlot{node: n, free: true, next: n.freeSlots}
+	n.freeSlots = s
+}
 
 // swapRecord is the temporary record logged after every entanglement swap
 // (§4.1 "Swap records"): the partner pair's correlator and heralded state
@@ -89,7 +139,8 @@ type swapRecord struct {
 	at        sim.Time
 }
 
-// parkedTrack is a TRACK waiting at a node for its swap to complete.
+// parkedTrack is a TRACK waiting at a node for its swap to complete. It
+// holds a copy: the delivered record goes back to the pool.
 type parkedTrack struct {
 	msg TrackMsg
 	at  sim.Time
@@ -99,7 +150,7 @@ type parkedTrack struct {
 // request and awaiting tracking confirmation.
 type inTransitEntry struct {
 	rs   *reqState
-	slot *pairSlot
+	slot pairSlot
 	// test marks head-chosen fidelity test rounds.
 	test      bool
 	testBasis quantum.Basis
@@ -158,6 +209,8 @@ type circuit struct {
 
 	// Link layer registration state.
 	upRegistered, downRegistered bool
+	// up and down are the classical ports toward the neighbours.
+	up, down netsim.Port
 
 	// Stats.
 	swaps, discards, expiresSent, trackMismatch uint64
@@ -189,11 +242,20 @@ type Node struct {
 	eerUpdates uint64
 	// gcRunning marks the periodic soft-state sweep as started.
 	gcRunning bool
+	// freeSlots is the free list of intermediate pair slots.
+	freeSlots *pairSlot
+	// tracks is the classical network's pool of TRACK records, shared by
+	// every node on it.
+	tracks *TrackPool
 }
 
 // NewNode creates the QNP engine for a node and hooks it into the classical
-// network's message dispatch.
-func NewNode(s *sim.Simulation, net *netsim.Network, dev *device.Device, fabric *linklayer.Fabric) *Node {
+// network's message dispatch. tracks is the network's TRACK pool: build one
+// per classical network and hand it to every node on it.
+func NewNode(s *sim.Simulation, net *netsim.Network, dev *device.Device, fabric *linklayer.Fabric, tracks *TrackPool) *Node {
+	if tracks == nil {
+		panic(fmt.Sprintf("core: node %s built without a TRACK pool", dev.ID()))
+	}
 	n := &Node{
 		id:       netsim.NodeID(dev.ID()),
 		sim:      s,
@@ -202,6 +264,7 @@ func NewNode(s *sim.Simulation, net *netsim.Network, dev *device.Device, fabric 
 		fabric:   fabric,
 		circuits: make(map[CircuitID]*circuit),
 		torn:     make(map[CircuitID]sim.Time),
+		tracks:   tracks,
 	}
 	net.Handle(n.id, n.handleMessage)
 	return n
@@ -235,6 +298,12 @@ func (n *Node) InstallCircuit(e RoutingEntry) {
 		endExpired:  make(map[linklayer.Correlator]sim.Time),
 	}
 	cs.tests.headBits = make(map[linklayer.Correlator]headTestBit)
+	if e.Upstream != "" {
+		cs.up = n.net.Port(n.id, e.Upstream)
+	}
+	if e.Downstream != "" {
+		cs.down = n.net.Port(n.id, e.Downstream)
+	}
 	if cs.role != RoleIntermediate {
 		cs.dmx = newDemux()
 	}
@@ -326,9 +395,15 @@ func (n *Node) UninstallCircuit(id CircuitID) {
 	for _, q := range [][]*pairSlot{cs.upQ, cs.downQ} {
 		for _, slot := range q {
 			n.sim.Cancel(slot.cutoff)
+			if slot.moving {
+				slot.abandoned = true // the move's completion releases it
+				continue
+			}
 			n.dev.Free(slot.qubit)
+			n.releaseSlot(slot)
 		}
 	}
+	cs.upQ, cs.downQ = nil, nil
 	for _, it := range cs.inTransit {
 		if !it.measured && !it.earlyGiven {
 			if p := it.slot.pair(); p != nil && p.LocalSide(string(n.id)) >= 0 {
@@ -370,64 +445,86 @@ func (n *Node) Circuit(id CircuitID) (RoutingEntry, bool) {
 	return cs.entry, true
 }
 
-// mustCircuit fetches circuit state or panics — messages for uninstalled
-// circuits indicate a signalling bug.
-func (n *Node) mustCircuit(id CircuitID) *circuit {
-	cs, ok := n.circuits[id]
-	if !ok {
-		panic(fmt.Sprintf("core %s: message for uninstalled circuit %q", n.id, id))
-	}
-	return cs
-}
-
 // --- Message plumbing -----------------------------------------------------
 
 func (n *Node) handleMessage(from netsim.NodeID, msg netsim.Message) {
 	switch m := msg.(type) {
 	case ForwardMsg:
-		if !n.dropLate(m.Circuit) {
-			n.onForward(m)
+		if cs := n.liveCircuit(m.Circuit); cs != nil {
+			n.onForward(cs, m)
 		}
 	case CompleteMsg:
-		if !n.dropLate(m.Circuit) {
-			n.onComplete(m)
+		if cs := n.liveCircuit(m.Circuit); cs != nil {
+			n.onComplete(cs, m)
 		}
-	case TrackMsg:
-		if !n.dropLate(m.Circuit) {
-			n.onTrack(m)
+	case *TrackMsg:
+		if cs := n.liveCircuit(m.Circuit); cs != nil {
+			n.onTrack(cs, m)
 		}
 	case ExpireMsg:
-		if !n.dropLate(m.Circuit) {
-			n.onExpire(m)
+		if cs := n.liveCircuit(m.Circuit); cs != nil {
+			n.onExpire(cs, m)
 		}
 	case TestResultMsg:
-		if !n.dropLate(m.Circuit) {
-			n.onTestResult(m)
+		if cs := n.liveCircuit(m.Circuit); cs != nil {
+			n.onTestResult(cs, m)
 		}
 	}
 }
 
-// dropLate reports (and counts) a data-plane message for a circuit that has
-// already torn down at this node — the teardown wave races in-flight
-// messages, so stragglers are a legitimate outcome, not a signalling bug.
-// Messages for circuits never installed still panic via mustCircuit.
-func (n *Node) dropLate(id CircuitID) bool {
-	if _, live := n.circuits[id]; live {
-		return false
+// liveCircuit resolves a data-plane message's circuit with one lookup. It
+// returns nil (and counts a late drop) for a circuit that has already torn
+// down at this node — the teardown wave races in-flight messages, so
+// stragglers are a legitimate outcome, not a signalling bug — and panics
+// for a circuit never installed, which does indicate one.
+func (n *Node) liveCircuit(id CircuitID) *circuit {
+	if cs, ok := n.circuits[id]; ok {
+		return cs
 	}
 	if _, gone := n.torn[id]; gone {
 		n.lateDrops++
-		return true
+		return nil
 	}
-	return false
+	panic(fmt.Sprintf("core %s: message for uninstalled circuit %q", n.id, id))
 }
 
-func (n *Node) sendUp(cs *circuit, msg netsim.Message) {
-	n.net.Send(n.id, cs.entry.Upstream, msg)
+func (n *Node) sendUp(cs *circuit, msg netsim.Message) { cs.up.Send(msg) }
+
+func (n *Node) sendDown(cs *circuit, msg netsim.Message) { cs.down.Send(msg) }
+
+// TrackPool recycles TRACK records across every node of one classical
+// network; the zero value is ready to use. A TRACK travels by pointer; the
+// network recycles the record once the receiving node's handlers return,
+// and a node that forwards or parks a TRACK copies it. The pool is per
+// network, not per node: end-nodes receive more TRACKs than they send, so
+// per-node free lists would grow without bound there.
+type TrackPool struct {
+	free []*TrackMsg
+	// made counts the records ever allocated; those not on the free list
+	// are in flight.
+	made int
 }
 
-func (n *Node) sendDown(cs *circuit, msg netsim.Message) {
-	n.net.Send(n.id, cs.entry.Downstream, msg)
+// sendTrackUp sends a copy of m upstream in a pooled record.
+func (n *Node) sendTrackUp(cs *circuit, m TrackMsg) { n.sendUp(cs, n.tracks.get(m)) }
+
+// sendTrackDown sends a copy of m downstream in a pooled record.
+func (n *Node) sendTrackDown(cs *circuit, m TrackMsg) { n.sendDown(cs, n.tracks.get(m)) }
+
+// get returns a record holding m.
+func (p *TrackPool) get(m TrackMsg) *TrackMsg {
+	var rec *TrackMsg
+	if k := len(p.free); k > 0 {
+		rec = p.free[k-1]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
+	} else {
+		rec = new(TrackMsg)
+		p.made++
+	}
+	*rec = m
+	rec.pool, rec.free = p, false
+	return rec
 }
 
 // --- Link layer management ------------------------------------------------
@@ -513,8 +610,7 @@ func (n *Node) deactivateLinks(cs *circuit) {
 
 // --- FORWARD / COMPLETE ---------------------------------------------------
 
-func (n *Node) onForward(m ForwardMsg) {
-	cs := n.mustCircuit(m.Circuit)
+func (n *Node) onForward(cs *circuit, m ForwardMsg) {
 	n.registerLinks(cs, m.Rate)
 	if cs.role == RoleTail {
 		// Tail book-keeping: a new epoch with the request added.
@@ -536,8 +632,7 @@ func (n *Node) onForward(m ForwardMsg) {
 	n.sendDown(cs, m)
 }
 
-func (n *Node) onComplete(m CompleteMsg) {
-	cs := n.mustCircuit(m.Circuit)
+func (n *Node) onComplete(cs *circuit, m CompleteMsg) {
 	if cs.role == RoleTail {
 		cs.dmx.remove(m.Request)
 		if m.Rate == 0 {
@@ -557,17 +652,15 @@ func (n *Node) onComplete(m CompleteMsg) {
 
 // onLinkPair dispatches a link layer delivery to the role-specific rule.
 func (n *Node) onLinkPair(cs *circuit, d linklayer.Delivery, fromUpstream bool) {
-	slot := &pairSlot{
-		corr:      d.Corr,
-		idx:       d.Idx,
-		qubit:     d.Pair.Half(d.Pair.LocalSide(string(n.id))),
-		arrivedAt: n.sim.Now(),
-	}
-	if cs.role == RoleIntermediate {
-		n.intermediateLinkRule(cs, slot, fromUpstream)
+	q := d.Pair.Half(d.Pair.LocalSide(string(n.id)))
+	if cs.role != RoleIntermediate {
+		n.endLinkRule(cs, d.Corr, d.Idx, q)
 		return
 	}
-	n.endLinkRule(cs, slot)
+	slot := n.newSlot()
+	slot.corr, slot.idx, slot.qubit = d.Corr, d.Idx, q
+	slot.cs, slot.fromUpstream = cs, fromUpstream
+	n.intermediateLinkRule(cs, slot, fromUpstream)
 }
 
 // intermediateLinkRule is Algorithm 7: queue the pair, arm its cutoff, and
@@ -580,9 +673,7 @@ func (n *Node) onLinkPair(cs *circuit, d linklayer.Delivery, fromUpstream bool) 
 // until the move completes.
 func (n *Node) intermediateLinkRule(cs *circuit, slot *pairSlot, fromUpstream bool) {
 	if cs.entry.Cutoff > 0 {
-		slot.cutoff = n.sim.Schedule(cs.entry.Cutoff, func() {
-			n.expiryRule(cs, slot, fromUpstream)
-		})
+		slot.cutoff = n.sim.ScheduleAction(cs.entry.Cutoff, slot)
 	}
 	if fromUpstream {
 		cs.upQ = append(cs.upQ, slot)
@@ -593,6 +684,16 @@ func (n *Node) intermediateLinkRule(cs *circuit, slot *pairSlot, fromUpstream bo
 		slot.moving = true
 		n.dev.MoveToStorage(slot.qubit, func(newQ *device.Qubit, ok bool) {
 			slot.moving = false
+			if slot.abandoned {
+				// The pair expired or its circuit was uninstalled mid-move:
+				// free the storage qubit now holding the half (a failed
+				// move left no half of ours to free).
+				if ok {
+					n.dev.Free(newQ)
+				}
+				n.releaseSlot(slot)
+				return
+			}
 			if !ok {
 				// No storage space: treat like a cutoff discard so the
 				// tracking machinery cleans the chain up.
@@ -629,14 +730,13 @@ func (n *Node) trySwap(cs *circuit) {
 		cs.downQ = removeSlot(cs.downQ, down)
 		n.sim.Cancel(up.cutoff)
 		n.sim.Cancel(down.cutoff)
-		n.dev.Swap(up.qubit, down.qubit, func(_ *device.Pair, outcome quantum.BellIndex) {
-			n.swapDone(cs, up, down, outcome)
-		})
+		up.partner = down
+		n.dev.SwapTo(up.qubit, down.qubit, up)
 	}
 }
 
 // swapDone logs swap records and forwards any parked TRACKs (the tail halves
-// of Algorithm 7).
+// of Algorithm 7), then releases both slots.
 func (n *Node) swapDone(cs *circuit, up, down *pairSlot, outcome quantum.BellIndex) {
 	cs.swaps++
 	if pt, ok := cs.upTrack[up.corr]; ok {
@@ -644,7 +744,7 @@ func (n *Node) swapDone(cs *circuit, up, down *pairSlot, outcome quantum.BellInd
 		tm := pt.msg
 		tm.LinkCorr = down.corr
 		tm.Outcome = quantum.Combine(tm.Outcome, down.idx, outcome)
-		n.sendDown(cs, tm)
+		n.sendTrackDown(cs, tm)
 	} else {
 		cs.upRecord[up.corr] = swapRecord{otherCorr: down.corr, otherIdx: down.idx, outcome: outcome, at: n.sim.Now()}
 	}
@@ -653,13 +753,17 @@ func (n *Node) swapDone(cs *circuit, up, down *pairSlot, outcome quantum.BellInd
 		tm := pt.msg
 		tm.LinkCorr = up.corr
 		tm.Outcome = quantum.Combine(tm.Outcome, up.idx, outcome)
-		n.sendUp(cs, tm)
+		n.sendTrackUp(cs, tm)
 	} else {
 		cs.downRecord[down.corr] = swapRecord{otherCorr: up.corr, otherIdx: up.idx, outcome: outcome, at: n.sim.Now()}
 	}
+	n.releaseSlot(up)
+	n.releaseSlot(down)
 }
 
-// expiryRule is Algorithm 9: the cutoff timer popped for a queued pair.
+// expiryRule is Algorithm 9: the cutoff timer popped for a queued pair. The
+// slot is released, or, mid-move, left for the move's completion to
+// release.
 func (n *Node) expiryRule(cs *circuit, slot *pairSlot, fromUpstream bool) {
 	if fromUpstream {
 		cs.upQ = removeSlot(cs.upQ, slot)
@@ -667,23 +771,29 @@ func (n *Node) expiryRule(cs *circuit, slot *pairSlot, fromUpstream bool) {
 		cs.downQ = removeSlot(cs.downQ, slot)
 	}
 	cs.discards++
-	n.dev.Free(slot.qubit)
+	corr := slot.corr
+	if slot.moving {
+		slot.abandoned = true // the move's completion frees and releases it
+	} else {
+		n.dev.Free(slot.qubit)
+		n.releaseSlot(slot)
+	}
 	if fromUpstream {
-		if pt, ok := cs.upTrack[slot.corr]; ok {
-			delete(cs.upTrack, slot.corr)
+		if pt, ok := cs.upTrack[corr]; ok {
+			delete(cs.upTrack, corr)
 			n.sendUp(cs, ExpireMsg{Circuit: cs.entry.Circuit, Origin: pt.msg.Origin, ToHead: true})
 			cs.expiresSent++
 		} else {
-			cs.upExpired[slot.corr] = n.sim.Now()
+			cs.upExpired[corr] = n.sim.Now()
 		}
 		return
 	}
-	if pt, ok := cs.downTrack[slot.corr]; ok {
-		delete(cs.downTrack, slot.corr)
+	if pt, ok := cs.downTrack[corr]; ok {
+		delete(cs.downTrack, corr)
 		n.sendDown(cs, ExpireMsg{Circuit: cs.entry.Circuit, Origin: pt.msg.Origin, ToHead: false})
 		cs.expiresSent++
 	} else {
-		cs.downExpired[slot.corr] = n.sim.Now()
+		cs.downExpired[corr] = n.sim.Now()
 	}
 }
 
@@ -698,24 +808,24 @@ func removeSlot(q []*pairSlot, s *pairSlot) []*pairSlot {
 
 // --- TRACK rules ----------------------------------------------------------
 
-func (n *Node) onTrack(m TrackMsg) {
-	cs := n.mustCircuit(m.Circuit)
+func (n *Node) onTrack(cs *circuit, m *TrackMsg) {
 	if cs.role == RoleIntermediate {
-		n.intermediateTrackRule(cs, m)
+		n.intermediateTrackRule(cs, *m)
 		return
 	}
 	n.endTrackRule(cs, m)
 }
 
 // intermediateTrackRule is Algorithm 8: resolve the TRACK against a swap
-// record, an expiry record, or park it until the swap completes.
+// record, an expiry record, or park it until the swap completes. m is a
+// copy of the delivered record, which returns to the pool.
 func (n *Node) intermediateTrackRule(cs *circuit, m TrackMsg) {
 	if m.FromHead {
 		if rec, ok := cs.upRecord[m.LinkCorr]; ok {
 			delete(cs.upRecord, m.LinkCorr)
 			m.LinkCorr = rec.otherCorr
 			m.Outcome = quantum.Combine(m.Outcome, rec.otherIdx, rec.outcome)
-			n.sendDown(cs, m)
+			n.sendTrackDown(cs, m)
 			return
 		}
 		if _, dead := cs.upExpired[m.LinkCorr]; dead {
@@ -731,7 +841,7 @@ func (n *Node) intermediateTrackRule(cs *circuit, m TrackMsg) {
 		delete(cs.downRecord, m.LinkCorr)
 		m.LinkCorr = rec.otherCorr
 		m.Outcome = quantum.Combine(m.Outcome, rec.otherIdx, rec.outcome)
-		n.sendUp(cs, m)
+		n.sendTrackUp(cs, m)
 		return
 	}
 	if _, dead := cs.downExpired[m.LinkCorr]; dead {
@@ -745,8 +855,7 @@ func (n *Node) intermediateTrackRule(cs *circuit, m TrackMsg) {
 
 // --- EXPIRE / TestResult relay ---------------------------------------------
 
-func (n *Node) onExpire(m ExpireMsg) {
-	cs := n.mustCircuit(m.Circuit)
+func (n *Node) onExpire(cs *circuit, m ExpireMsg) {
 	if cs.role == RoleIntermediate {
 		if m.ToHead {
 			n.sendUp(cs, m)
@@ -758,8 +867,7 @@ func (n *Node) onExpire(m ExpireMsg) {
 	n.endExpireRule(cs, m)
 }
 
-func (n *Node) onTestResult(m TestResultMsg) {
-	cs := n.mustCircuit(m.Circuit)
+func (n *Node) onTestResult(cs *circuit, m TestResultMsg) {
 	if cs.role == RoleIntermediate {
 		if m.ToHead {
 			n.sendUp(cs, m)

@@ -30,7 +30,9 @@ func TestSequenceDiagramFig6(t *testing.T) {
 				log = append(log, event{id, "FORWARD"})
 			case CompleteMsg:
 				log = append(log, event{id, "COMPLETE"})
-			case TrackMsg:
+			case *TrackMsg:
+				// TRACKs travel by pointer in pooled records; read the
+				// record before the network recycles it.
 				dir := "TRACK↓"
 				if !m.FromHead {
 					dir = "TRACK↑"
@@ -38,6 +40,8 @@ func TestSequenceDiagramFig6(t *testing.T) {
 				log = append(log, event{id, dir})
 			case ExpireMsg:
 				log = append(log, event{id, "EXPIRE"})
+			case TrackMsg:
+				t.Errorf("node %s received a TRACK by value", id)
 			}
 		})
 	}

@@ -47,6 +47,10 @@ type Device struct {
 	sim     *sim.Simulation
 	rng     *rand.Rand
 	qubits  []*Qubit
+	// links groups the communication qubits by the link they serve (the
+	// shared pool under the empty name), with a free count each, so the
+	// link layer's per-dispatch memory check (LinkMemory) is O(1).
+	links []*commLink
 	// busyUntil is the quantum task scheduler's horizon: local operations
 	// submitted while another runs queue behind it.
 	busyUntil sim.Time
@@ -61,6 +65,77 @@ type Device struct {
 	// swapFx is the exact engine's entanglement swap for params, built on
 	// the first exact swap.
 	swapFx *quantum.SwapEffects
+	// freeSwaps recycles the records of swaps on the task scheduler.
+	freeSwaps *swapOp
+}
+
+// commLink is the set of communication qubits dedicated to one link (or
+// shared across links, under the empty name), in allocation order.
+type commLink struct {
+	name   string
+	qubits []*Qubit
+	free   int
+}
+
+// findLink returns the group for link, or nil if the device has none.
+func (d *Device) findLink(link string) *commLink {
+	for _, cl := range d.links {
+		if cl.name == link {
+			return cl
+		}
+	}
+	return nil
+}
+
+// commLink returns the group for link, creating an empty one if the device
+// has none yet (qubits added later join it).
+func (d *Device) commLink(link string) *commLink {
+	if cl := d.findLink(link); cl != nil {
+		return cl
+	}
+	cl := &commLink{name: link}
+	d.links = append(d.links, cl)
+	return cl
+}
+
+// LinkMemory is the communication memory a device offers one link: the
+// qubits dedicated to the link first, then the shared ones. The link layer
+// resolves it once per engine, so its per-dispatch memory checks are O(1)
+// and do no lookups.
+type LinkMemory struct {
+	own, shared *commLink
+}
+
+// LinkMemory resolves the communication memory usable on link.
+func (d *Device) LinkMemory(link string) LinkMemory {
+	m := LinkMemory{own: d.commLink(link)}
+	if link != "" {
+		m.shared = d.commLink("")
+	}
+	return m
+}
+
+// Free reports the number of free communication qubits usable on the link.
+func (m LinkMemory) Free() int { return m.own.freeCount() + m.shared.freeCount() }
+
+// freeCount is the group's free count (0 for a nil group).
+func (cl *commLink) freeCount() int {
+	if cl == nil {
+		return 0
+	}
+	return cl.free
+}
+
+// Alloc allocates a free communication qubit usable on the link: first a
+// link-dedicated one, then a shared one.
+func (m LinkMemory) Alloc() (*Qubit, bool) {
+	if q := m.own.alloc(); q != nil {
+		return q, true
+	}
+	if q := m.shared.alloc(); q != nil {
+		return q, true
+	}
+	return nil, false
 }
 
 // New creates a device for node id with the given hardware parameters,
@@ -98,15 +173,19 @@ func (d *Device) Params() hardware.Params { return d.params }
 // (empty string = shared across links, as on the near-term single-electron
 // platform).
 func (d *Device) AddCommQubits(link string, n int) {
+	cl := d.commLink(link)
 	for i := 0; i < n; i++ {
-		d.qubits = append(d.qubits, &Qubit{
+		q := &Qubit{
 			dev:       d,
 			id:        len(d.qubits),
 			kind:      Communication,
-			link:      link,
+			link:      cl,
 			lifetimes: Lifetimes(d.params.Electron),
 			free:      true,
-		})
+		}
+		d.qubits = append(d.qubits, q)
+		cl.qubits = append(cl.qubits, q)
+		cl.free++
 	}
 }
 
@@ -117,7 +196,6 @@ func (d *Device) AddStorageQubits(n int) {
 			dev:       d,
 			id:        len(d.qubits),
 			kind:      Storage,
-			link:      "",
 			lifetimes: Lifetimes(d.params.Carbon),
 			free:      true,
 		})
@@ -127,24 +205,23 @@ func (d *Device) AddStorageQubits(n int) {
 // AllocComm allocates a free communication qubit usable on the given link:
 // first a link-dedicated one, then a shared one.
 func (d *Device) AllocComm(link string) (*Qubit, bool) {
-	var shared *Qubit
-	for _, q := range d.qubits {
-		if !q.free || q.kind != Communication {
-			continue
-		}
-		if q.link == link {
+	return d.LinkMemory(link).Alloc()
+}
+
+// alloc takes the group's first free qubit, or returns nil (also for a nil
+// group).
+func (cl *commLink) alloc() *Qubit {
+	if cl == nil || cl.free == 0 {
+		return nil
+	}
+	for _, q := range cl.qubits {
+		if q.free {
 			q.free = false
-			return q, true
-		}
-		if q.link == "" && shared == nil {
-			shared = q
+			cl.free--
+			return q
 		}
 	}
-	if shared != nil {
-		shared.free = false
-		return shared, true
-	}
-	return nil, false
+	panic(fmt.Sprintf("device: link %q counts %d free qubits but holds none", cl.name, cl.free))
 }
 
 // AllocStorage allocates a free storage qubit.
@@ -161,13 +238,12 @@ func (d *Device) AllocStorage() (*Qubit, bool) {
 // FreeCommCount reports the number of free communication qubits usable on
 // the given link.
 func (d *Device) FreeCommCount(link string) int {
-	n := 0
-	for _, q := range d.qubits {
-		if q.free && q.kind == Communication && (q.link == link || q.link == "") {
-			n++
-		}
+	// A query resolves without creating groups for links it names.
+	m := LinkMemory{own: d.findLink(link)}
+	if link != "" {
+		m.shared = d.findLink("")
 	}
-	return n
+	return m.Free()
 }
 
 // free returns a qubit to the pool and fires free-notifications. It resets
@@ -179,6 +255,9 @@ func (d *Device) free(q *Qubit) {
 	}
 	q.free = true
 	q.pair = nil
+	if q.link != nil {
+		q.link.free++
+	}
 	if q.kind == Communication {
 		q.lifetimes = Lifetimes(d.params.Electron)
 	} else {
@@ -229,105 +308,157 @@ func (d *Device) Discard(p *Pair) {
 // task scheduler; fn runs at its completion time. The returned time is when
 // the operation completes.
 func (d *Device) SubmitOp(dur sim.Duration, fn func()) sim.Time {
+	return d.submitAction(dur, sim.Func(fn))
+}
+
+// submitAction is SubmitOp for an Action: a fires at the operation's
+// completion time.
+func (d *Device) submitAction(dur sim.Duration, a sim.Action) sim.Time {
 	start := d.sim.Now()
 	if d.busyUntil > start {
 		start = d.busyUntil
 	}
 	end := start.Add(dur)
 	d.busyUntil = end
-	d.sim.ScheduleAt(end, fn)
+	d.sim.ScheduleActionAt(end, a)
 	return end
 }
 
 // BusyUntil reports the task scheduler's current horizon.
 func (d *Device) BusyUntil() sim.Time { return d.busyUntil }
 
+// SwapDone receives the result of an entanglement swap: the merged pair and
+// the announced two-bit outcome.
+type SwapDone interface {
+	Swapped(merged *Pair, outcome quantum.BellIndex)
+}
+
+// swapFunc adapts a callback to SwapDone.
+type swapFunc func(merged *Pair, outcome quantum.BellIndex)
+
+func (f swapFunc) Swapped(merged *Pair, outcome quantum.BellIndex) { f(merged, outcome) }
+
 // Swap schedules an entanglement swap between the pairs whose local halves
+// live on qubits q1 and q2, handing the result to done (see SwapTo).
+func (d *Device) Swap(q1, q2 *Qubit, done func(merged *Pair, outcome quantum.BellIndex)) {
+	d.SwapTo(q1, q2, swapFunc(done))
+}
+
+// SwapTo schedules an entanglement swap between the pairs whose local halves
 // live on qubits q1 and q2. The pairs are resolved from the qubits at
 // *completion* time: a concurrent swap at a neighbouring node may merge a
 // shared pair mid-flight, rewiring the qubit to the merged pair — the
 // physical qubit, not the pair object, is the stable identity. At completion
 // the two local qubits are freed, the remote qubits are rewired into the
 // merged pair, and done receives the merged pair plus the announced two-bit
-// outcome.
-func (d *Device) Swap(q1, q2 *Qubit, done func(merged *Pair, outcome quantum.BellIndex)) {
+// outcome. The operation's record is pooled per device, so a swap whose done
+// is a long-lived value allocates nothing but the merged pair.
+func (d *Device) SwapTo(q1, q2 *Qubit, done SwapDone) {
 	if q1.pair == nil || q2.pair == nil {
 		panic(fmt.Sprintf("device %s: swap on qubits without pairs", d.id))
 	}
-	d.SubmitOp(d.params.SwapDuration(), func() {
-		now := d.sim.Now()
-		p1, p2 := q1.pair, q2.pair
-		s1, s2 := p1.LocalSide(d.id), p2.LocalSide(d.id)
-		if s1 < 0 || s2 < 0 {
-			panic(fmt.Sprintf("device %s: swap halves vanished mid-flight", d.id))
-		}
-		p1.AdvanceTo(now)
-		p2.AdvanceTo(now)
-		if p1.scalar != p2.scalar {
-			panic(fmt.Sprintf("device %s: swap across physics engines", d.id))
-		}
-		var (
-			mergedRho *linalg.Matrix
-			mergedW   float64
-			outcome   quantum.BellIndex
-		)
-		if p1.scalar {
-			// Werner states are symmetric under qubit exchange, so no
-			// orientation is needed; the closed form consumes the same four
-			// RNG draws as the exact Bell measurement below.
-			sres := werner.Swap(p1.w, p2.w, d.params.SwapConfig(), d.rng)
-			mergedW, outcome = sres.W, sres.Outcome
-		} else {
-			if d.swapFx == nil {
-				d.swapFx = quantum.NewSwapEffects(d.params.SwapConfig())
-			}
-			// The local halves are the measured qubits: side s1 of the first
-			// pair, s2 of the second. The contraction reads each pair in
-			// whichever order it is stored, and the merged pair keeps the
-			// first pair's remote qubit first. Exchanging the qubits of a
-			// Bell-diagnosable state keeps its Bell index (|Ψ−> only changes
-			// global phase).
-			res := d.swapFx.Swap(d.ws, p1.rho, s1, p2.rho, s2, d.rng)
-			// The Bell measurement consumed both input pairs: recycle their
-			// states and nil the fields so a stale read fails fast instead of
-			// observing a recycled buffer.
-			d.ws.Put(p1.rho)
-			p1.rho = nil
-			d.ws.Put(p2.rho)
-			p2.rho = nil
-			mergedRho, outcome = res.Rho, res.Outcome
-		}
+	op := d.freeSwaps
+	if op != nil {
+		d.freeSwaps = op.next
+	} else {
+		op = &swapOp{d: d}
+	}
+	op.q1, op.q2, op.done, op.next = q1, q2, done, nil
+	d.submitAction(d.params.SwapDuration(), op)
+}
 
-		remote1 := p1.halves[1-s1]
-		remote2 := p2.halves[1-s2]
-		created := p1.createdAt
-		if p2.createdAt < created {
-			created = p2.createdAt
+// swapOp is one swap waiting on the task scheduler.
+type swapOp struct {
+	d      *Device
+	q1, q2 *Qubit
+	done   SwapDone
+	next   *swapOp
+}
+
+// Fire recycles the record, then completes the swap.
+func (op *swapOp) Fire() {
+	d, q1, q2, done := op.d, op.q1, op.q2, op.done
+	op.q1, op.q2, op.done = nil, nil, nil
+	op.next = d.freeSwaps
+	d.freeSwaps = op
+	d.completeSwap(q1, q2, done)
+}
+
+// completeSwap performs the Bell measurement of a swap at its completion
+// time.
+func (d *Device) completeSwap(q1, q2 *Qubit, done SwapDone) {
+	now := d.sim.Now()
+	p1, p2 := q1.pair, q2.pair
+	s1, s2 := p1.LocalSide(d.id), p2.LocalSide(d.id)
+	if s1 < 0 || s2 < 0 {
+		panic(fmt.Sprintf("device %s: swap halves vanished mid-flight", d.id))
+	}
+	p1.AdvanceTo(now)
+	p2.AdvanceTo(now)
+	if p1.scalar != p2.scalar {
+		panic(fmt.Sprintf("device %s: swap across physics engines", d.id))
+	}
+	var (
+		mergedRho *linalg.Matrix
+		mergedW   float64
+		outcome   quantum.BellIndex
+	)
+	if p1.scalar {
+		// Werner states are symmetric under qubit exchange, so no
+		// orientation is needed; the closed form consumes the same four
+		// RNG draws as the exact Bell measurement below.
+		sres := werner.Swap(p1.w, p2.w, d.params.SwapConfig(), d.rng)
+		mergedW, outcome = sres.W, sres.Outcome
+	} else {
+		if d.swapFx == nil {
+			d.swapFx = quantum.NewSwapEffects(d.params.SwapConfig())
 		}
-		merged := &Pair{
-			rho:        mergedRho,
-			scalar:     p1.scalar,
-			w:          mergedW,
-			ws:         d.ws,
-			trueIdx:    quantum.Combine(p1.trueIdx, p2.trueIdx, outcome),
-			createdAt:  created,
-			lastUpdate: now,
-		}
-		merged.consumed[0] = p1.consumed[1-s1]
-		merged.consumed[1] = p2.consumed[1-s2]
-		merged.halves[0] = remote1
-		merged.halves[1] = remote2
-		if remote1 != nil {
-			remote1.pair, remote1.side = merged, 0
-		}
-		if remote2 != nil {
-			remote2.pair, remote2.side = merged, 1
-		}
-		// Free this node's qubits: the Bell measurement consumed them.
-		p1.releaseHalf(s1)
-		p2.releaseHalf(s2)
-		done(merged, outcome)
-	})
+		// The local halves are the measured qubits: side s1 of the first
+		// pair, s2 of the second. The contraction reads each pair in
+		// whichever order it is stored, and the merged pair keeps the
+		// first pair's remote qubit first. Exchanging the qubits of a
+		// Bell-diagnosable state keeps its Bell index (|Ψ−> only changes
+		// global phase).
+		res := d.swapFx.Swap(d.ws, p1.rho, s1, p2.rho, s2, d.rng)
+		// The Bell measurement consumed both input pairs: recycle their
+		// states and nil the fields so a stale read fails fast instead of
+		// observing a recycled buffer.
+		d.ws.Put(p1.rho)
+		p1.rho = nil
+		d.ws.Put(p2.rho)
+		p2.rho = nil
+		mergedRho, outcome = res.Rho, res.Outcome
+	}
+
+	remote1 := p1.halves[1-s1]
+	remote2 := p2.halves[1-s2]
+	created := p1.createdAt
+	if p2.createdAt < created {
+		created = p2.createdAt
+	}
+	merged := &Pair{
+		rho:        mergedRho,
+		scalar:     p1.scalar,
+		w:          mergedW,
+		ws:         d.ws,
+		trueIdx:    quantum.Combine(p1.trueIdx, p2.trueIdx, outcome),
+		createdAt:  created,
+		lastUpdate: now,
+	}
+	merged.consumed[0] = p1.consumed[1-s1]
+	merged.consumed[1] = p2.consumed[1-s2]
+	merged.halves[0] = remote1
+	merged.halves[1] = remote2
+	if remote1 != nil {
+		remote1.pair, remote1.side = merged, 0
+	}
+	if remote2 != nil {
+		remote2.pair, remote2.side = merged, 1
+	}
+	// Free this node's qubits: the Bell measurement consumed them.
+	p1.releaseHalf(s1)
+	p2.releaseHalf(s2)
+	done.Swapped(merged, outcome)
 }
 
 // MoveToStorage transfers the pair half held by communication qubit q into a
@@ -349,12 +480,12 @@ func (d *Device) MoveToStorage(q *Qubit, done func(newQ *Qubit, ok bool)) {
 	d.SubmitOp(d.params.MoveDuration(), func() {
 		now := d.sim.Now()
 		p := q.pair
-		s := p.LocalSide(d.id)
-		if s < 0 {
+		if p == nil || p.LocalSide(d.id) < 0 {
 			d.free(storage)
 			done(nil, false)
 			return
 		}
+		s := p.LocalSide(d.id)
 		p.AdvanceTo(now)
 		pNoise := 1 - d.params.Gates.TwoQubitFidelity*d.params.Gates.CarbonInitFidelity
 		p.applyDepol1(s, pNoise)

@@ -63,15 +63,33 @@ func TestAllocLinkDedication(t *testing.T) {
 	d.AddCommQubits("l1", 1)
 	d.AddCommQubits("", 1) // shared
 	q, ok := d.AllocComm("l1")
-	if !ok || q.link != "l1" {
+	if !ok || q.link.name != "l1" {
 		t.Fatal("dedicated qubit not preferred")
 	}
 	q2, ok := d.AllocComm("l2")
-	if !ok || q2.link != "" {
+	if !ok || q2.link.name != "" {
 		t.Fatal("shared qubit not used for other link")
 	}
 	if _, ok := d.AllocComm("l1"); ok {
 		t.Fatal("no qubits left for l1")
+	}
+	// The per-link counters follow allocation and release.
+	if n := d.FreeCommCount("l1"); n != 0 {
+		t.Fatalf("free count l1 = %d, want 0", n)
+	}
+	d.Free(q2)
+	if a, b, c := d.FreeCommCount("l1"), d.FreeCommCount("l2"), d.FreeCommCount(""); a != 1 || b != 1 || c != 1 {
+		t.Fatalf("free counts after shared release = %d/%d/%d, want 1/1/1", a, b, c)
+	}
+	d.Free(q)
+	if n := d.FreeCommCount("l1"); n != 2 {
+		t.Fatalf("free count l1 = %d, want 2 (dedicated + shared)", n)
+	}
+	// A query for a link the device has never seen counts the shared
+	// qubits and records nothing.
+	groups := len(d.links)
+	if n := d.FreeCommCount("l3"); n != 1 || len(d.links) != groups {
+		t.Fatalf("free count l3 = %d with %d link groups, want 1 with %d", n, len(d.links), groups)
 	}
 }
 

@@ -48,10 +48,11 @@ type Qubit struct {
 	dev  *Device
 	id   int
 	kind Kind
-	// link dedicates a communication qubit to one physical link (the main
-	// evaluation gives each link two dedicated qubits per node); empty means
-	// usable for any link.
-	link string
+	// link is the group of communication qubits this one belongs to: one
+	// physical link (the main evaluation gives each link two dedicated
+	// qubits per node) or, under the empty name, any link. Nil for storage
+	// qubits.
+	link *commLink
 	// lifetimes are the decoherence parameters currently governing this
 	// qubit; they change when a state moves between electron and carbon.
 	lifetimes Lifetimes

@@ -172,11 +172,19 @@ func (l LinkConfig) Generate(p Params, alpha float64, rng *rand.Rand) (*linalg.M
 // GenerateW is the workspace-threaded Generate; the returned state is a ws
 // matrix owned by the caller.
 func (l LinkConfig) GenerateW(ws *linalg.Workspace, p Params, alpha float64, rng *rand.Rand) (*linalg.Matrix, quantum.BellIndex) {
+	return l.Model(p, alpha).GenerateW(ws, rng)
+}
+
+// GenerateW samples one heralded pair from the model: the Bell index (Ψ+ or
+// Ψ−, one RNG draw) and the produced state as a ws matrix owned by the
+// caller. Holders of a fixed α (a link-layer request) keep the model and
+// skip recomputing it per pair.
+func (m PairModel) GenerateW(ws *linalg.Workspace, rng *rand.Rand) (*linalg.Matrix, quantum.BellIndex) {
 	idx := quantum.PsiPlus
 	if rng.Intn(2) == 1 {
 		idx = quantum.PsiMinus
 	}
-	return l.Model(p, alpha).StateW(ws, idx), idx
+	return m.StateW(ws, idx), idx
 }
 
 // MaxFidelity returns the largest fidelity this link can produce and the α

@@ -35,15 +35,21 @@ import (
 // link-label, with the same role as an MPLS label).
 type Label string
 
+// LinkID is a link's dense index within its Fabric, assigned when the
+// engine joins it (0 for an engine outside any fabric). Correlators carry
+// it instead of the link name, so tables keyed by correlators hash two
+// integers and hold no pointers.
+type LinkID uint32
+
 // Correlator uniquely identifies a link-pair on its link (the paper's
 // Entanglement ID / link-pair correlator: both ends can map it to the
 // qubits in their local memory).
 type Correlator struct {
-	Link string
+	Link LinkID
 	Seq  uint64
 }
 
-func (c Correlator) String() string { return fmt.Sprintf("%s#%d", c.Link, c.Seq) }
+func (c Correlator) String() string { return fmt.Sprintf("link%d#%d", c.Link, c.Seq) }
 
 // Delivery is handed to both endpoints when a link-pair is ready.
 type Delivery struct {
@@ -66,8 +72,10 @@ type request struct {
 	weight      float64 // requested link-pair rate (pairs/s), the WRR weight
 	alpha       float64
 	prob        float64
-	registered  [2]bool
-	consumers   [2]Consumer
+	// model is the link model at alpha, fixed for the request's life.
+	model      hardware.PairModel
+	registered [2]bool
+	consumers  [2]Consumer
 	// used is the virtual link time consumed, for fair queuing.
 	used sim.Duration
 	// paceRate, when positive, caps the request's absolute pair rate:
@@ -87,6 +95,8 @@ type request struct {
 
 func (r *request) active() bool { return r.registered[0] && r.registered[1] }
 
+// round is the engine's one in-flight generation round; req is nil while
+// the engine is idle.
 type round struct {
 	req    *request
 	qubits [2]*device.Qubit
@@ -106,15 +116,25 @@ type Stats struct {
 // shared physical substrate (emitters, midpoint heralding station) plus the
 // link layer protocol instances at both endpoints.
 type Engine struct {
-	sim     *sim.Simulation
-	name    string
-	cfg     hardware.LinkConfig
-	devs    [2]*device.Device
-	reqs    map[Label]*request
-	order   []*request // deterministic scheduling order
-	current *round
-	seq     uint64
-	stats   Stats
+	sim  *sim.Simulation
+	name string
+	id   LinkID
+	cfg  hardware.LinkConfig
+	devs [2]*device.Device
+	// mem is each endpoint's communication memory for this link.
+	mem   [2]device.LinkMemory
+	reqs  map[Label]*request
+	order []*request // deterministic scheduling order
+	// cur is the in-flight round, embedded: a round allocates nothing.
+	cur   round
+	seq   uint64
+	stats Stats
+	// cycle is the attempt cycle time (the link and device Params are fixed
+	// for the engine's life).
+	cycle sim.Duration
+	// completeAct and dispatchAct are the round-completion and retry events,
+	// built once so scheduling them allocates nothing.
+	completeAct, dispatchAct sim.Action
 	// exclusive serialises generation with local quantum operations — set on
 	// single-communication-qubit platforms (near-term §5.3), where the
 	// electron cannot generate while a gate runs.
@@ -144,17 +164,24 @@ func NewEngine(s *sim.Simulation, name string, cfg hardware.LinkConfig, a, b *de
 		name:      name,
 		cfg:       cfg,
 		devs:      [2]*device.Device{a, b},
+		mem:       [2]device.LinkMemory{a.LinkMemory(name), b.LinkMemory(name)},
 		reqs:      make(map[Label]*request),
 		exclusive: a.Params().HasCarbon,
 		alphas:    make(map[uint64]alphaResult),
+		cycle:     cfg.CycleTime(a.Params()),
 	}
+	e.completeAct = sim.Func(e.complete)
+	e.dispatchAct = sim.Func(e.dispatch)
 	a.OnFree(e.dispatch)
 	b.OnFree(e.dispatch)
 	return e
 }
 
-// Name returns the link name used in correlators.
+// Name returns the canonical link name.
 func (e *Engine) Name() string { return e.name }
+
+// ID returns the link's index in its Fabric, carried by its correlators.
+func (e *Engine) ID() LinkID { return e.id }
 
 // Config returns the physical link configuration.
 func (e *Engine) Config() hardware.LinkConfig { return e.cfg }
@@ -200,6 +227,7 @@ func (e *Engine) Register(node string, label Label, minFidelity, rate float64, c
 			weight:      rate,
 			alpha:       a.alpha,
 			prob:        e.cfg.SuccessProb(e.devs[0].Params(), a.alpha),
+			model:       e.cfg.Model(e.devs[0].Params(), a.alpha),
 			used:        e.minVirtualUsed(rate),
 			paceSetter:  -1,
 		}
@@ -300,7 +328,7 @@ func (e *Engine) Deactivate(node string, label Label) {
 		r.nextAllowed = 0
 		r.paceSetter = -1
 	}
-	if e.current != nil && e.current.req == r {
+	if e.cur.req == r {
 		e.abortCurrent()
 	}
 	if !r.registered[0] && !r.registered[1] {
@@ -316,12 +344,12 @@ func (e *Engine) Deactivate(node string, label Label) {
 }
 
 func (e *Engine) abortCurrent() {
-	cur := e.current
-	e.current = nil
+	cur := e.cur
+	e.cur = round{}
 	e.sim.Cancel(cur.event)
 	// Attempts made before the abort still dephase stored qubits.
 	elapsed := e.sim.Now().Sub(cur.start)
-	k := int(elapsed / e.cfg.CycleTime(e.devs[0].Params()))
+	k := int(elapsed / e.cycle)
 	if k > 0 {
 		for _, d := range e.devs {
 			d.ApplyAttemptDephasing(k)
@@ -338,7 +366,7 @@ func (e *Engine) abortCurrent() {
 // among runnable requests, pick the one with the smallest weight-normalised
 // virtual time used.
 func (e *Engine) dispatch() {
-	if e.current != nil {
+	if e.cur.req != nil {
 		return
 	}
 	e.sim.Cancel(e.retry)
@@ -352,11 +380,11 @@ func (e *Engine) dispatch() {
 			}
 		}
 		if until > e.sim.Now() {
-			e.retry = e.sim.ScheduleAt(until, e.dispatch)
+			e.retry = e.sim.ScheduleActionAt(until, e.dispatchAct)
 			return
 		}
 	}
-	if e.devs[0].FreeCommCount(e.name) == 0 || e.devs[1].FreeCommCount(e.name) == 0 {
+	if e.mem[0].Free() == 0 || e.mem[1].Free() == 0 {
 		// Memory pressure: no request can run until a qubit frees. This is
 		// the Fig. 8c regime — pairs parked in memory block the link.
 		return
@@ -382,31 +410,31 @@ func (e *Engine) dispatch() {
 	}
 	if best == nil {
 		if wake > 0 {
-			e.retry = e.sim.ScheduleAt(wake, e.dispatch)
+			e.retry = e.sim.ScheduleActionAt(wake, e.dispatchAct)
 		}
 		return
 	}
-	q0, ok0 := e.devs[0].AllocComm(e.name)
+	q0, ok0 := e.mem[0].Alloc()
 	if !ok0 {
 		return
 	}
-	q1, ok1 := e.devs[1].AllocComm(e.name)
+	q1, ok1 := e.mem[1].Alloc()
 	if !ok1 {
 		e.devs[0].Free(q0)
 		return
 	}
 	k := hardware.SampleAttempts(best.prob, e.sim.Rand())
-	dur := e.cfg.CycleTime(e.devs[0].Params()).Scale(float64(k))
-	cur := &round{req: best, qubits: [2]*device.Qubit{q0, q1}, start: e.sim.Now(), k: k}
-	cur.event = e.sim.Schedule(dur, func() { e.complete(cur) })
-	e.current = cur
+	dur := e.cycle.Scale(float64(k))
+	e.cur = round{req: best, qubits: [2]*device.Qubit{q0, q1}, start: e.sim.Now(), k: k}
+	e.cur.event = e.sim.ScheduleAction(dur, e.completeAct)
 }
 
 // complete finishes a successful generation round: it charges the request's
 // virtual time, applies per-attempt nuclear dephasing to stored qubits at
 // both nodes, materialises the pair state, and delivers to both endpoints.
-func (e *Engine) complete(cur *round) {
-	e.current = nil
+func (e *Engine) complete() {
+	cur := e.cur
+	e.cur = round{}
 	r := cur.req
 	r.used += e.sim.Now().Sub(cur.start)
 	if r.paceRate > 0 {
@@ -417,7 +445,7 @@ func (e *Engine) complete(cur *round) {
 	for _, d := range e.devs {
 		d.ApplyAttemptDephasing(cur.k)
 	}
-	model := e.cfg.Model(e.devs[0].Params(), r.alpha)
+	model := r.model
 	var pair *device.Pair
 	var idx quantum.BellIndex
 	if e.devs[0].Physics() == device.PhysicsWerner {
@@ -428,10 +456,10 @@ func (e *Engine) complete(cur *round) {
 		pair = device.NewScalarPair(e.sim.Now(), w, idx, cur.qubits[0], cur.qubits[1])
 	} else {
 		var rho *linalg.Matrix
-		rho, idx = e.cfg.GenerateW(e.devs[0].Workspace(), e.devs[0].Params(), r.alpha, e.sim.Rand())
+		rho, idx = model.GenerateW(e.devs[0].Workspace(), e.sim.Rand())
 		pair = device.NewPair(e.sim.Now(), rho, idx, cur.qubits[0], cur.qubits[1])
 	}
-	corr := Correlator{Link: e.name, Seq: e.seq}
+	corr := Correlator{Link: e.id, Seq: e.seq}
 	e.seq++
 	d := Delivery{
 		Label:         r.label,
@@ -453,6 +481,8 @@ func (e *Engine) complete(cur *round) {
 // Fabric is the registry of link engines, keyed by canonical link name.
 type Fabric struct {
 	engines map[string]*Engine
+	// next is the LinkID the next engine to join receives.
+	next LinkID
 }
 
 // NewFabric returns an empty link registry.
@@ -466,11 +496,14 @@ func LinkName(a, b string) string {
 	return a + "|" + b
 }
 
-// Add registers an engine.
+// Add registers an engine and assigns its LinkID. Add engines before they
+// generate pairs: correlators carry the ID.
 func (f *Fabric) Add(e *Engine) {
 	if _, ok := f.engines[e.name]; ok {
 		panic(fmt.Sprintf("linklayer: duplicate engine %q", e.name))
 	}
+	f.next++
+	e.id = f.next
 	f.engines[e.name] = e
 }
 

@@ -50,6 +50,16 @@ func (h *harness) collect(label Label, f, rate float64, t *testing.T) (*[]Delive
 
 func TestPairsDeliveredToBothEnds(t *testing.T) {
 	h := newHarness(1, 2)
+	// Join a fabric behind another engine, so the correlators must carry
+	// this engine's ID (2), not the zero or first ID.
+	other := newHarness(1, 1)
+	other.engine.name = LinkName("a", "c")
+	f := NewFabric()
+	f.Add(other.engine)
+	f.Add(h.engine)
+	if h.engine.ID() != 2 {
+		t.Fatalf("engine ID %d, want 2", h.engine.ID())
+	}
 	da, db := h.collect("vc1", 0.9, 10, t)
 	h.sim.RunFor(2 * sim.Second)
 	if len(*da) == 0 {
@@ -77,8 +87,8 @@ func TestPairsDeliveredToBothEnds(t *testing.T) {
 			t.Fatal("duplicate correlator")
 		}
 		seen[d.Corr] = true
-		if d.Corr.Link != LinkName("a", "b") {
-			t.Fatal("correlator link name wrong")
+		if d.Corr.Link != h.engine.ID() {
+			t.Fatalf("correlator %v carries link %d, want %d", d.Corr, d.Corr.Link, h.engine.ID())
 		}
 	}
 }
@@ -298,6 +308,13 @@ func TestFabric(t *testing.T) {
 	}
 	if len(f.All()) != 1 {
 		t.Error("Fabric.All wrong")
+	}
+	// Link IDs are dense, distinct and nonzero once engines join.
+	other := newHarness(13, 1)
+	other.engine.name = LinkName("a", "c")
+	f.Add(other.engine)
+	if h.engine.ID() != 1 || other.engine.ID() != 2 {
+		t.Errorf("link IDs %d, %d, want 1, 2", h.engine.ID(), other.engine.ID())
 	}
 	if LinkName("x", "a") != "a|x" {
 		t.Error("LinkName not canonical")

@@ -24,11 +24,22 @@ type NodeID string
 // type, the same way a demultiplexing transport hands frames to protocols.
 type Message any
 
+// Recycler is implemented by pooled message records (core's TRACK). The
+// network hands such a record back through Recycle once every handler at
+// the receiving node has returned; a handler that keeps or forwards the
+// message copies its contents first.
+type Recycler interface{ Recycle() }
+
 // Handler consumes messages delivered to a node.
 type Handler func(from NodeID, msg Message)
 
 type channel struct {
 	delay sim.Duration
+}
+
+// endpoint is a registered node: its handlers in registration order.
+type endpoint struct {
+	handlers []Handler
 }
 
 type linkKey struct{ a, b NodeID }
@@ -50,11 +61,13 @@ type Stats struct {
 type Network struct {
 	sim      *sim.Simulation
 	channels map[linkKey]*channel
-	handlers map[NodeID][]Handler
+	nodes    map[NodeID]*endpoint
 	// processing is the extra per-hop delay added to every delivery — the
 	// Fig. 10c knob.
 	processing sim.Duration
 	stats      Stats
+	// free is the network's free list of in-flight delivery records.
+	free *delivery
 }
 
 // New creates an empty classical network on the given simulation.
@@ -62,22 +75,22 @@ func New(s *sim.Simulation) *Network {
 	return &Network{
 		sim:      s,
 		channels: make(map[linkKey]*channel),
-		handlers: make(map[NodeID][]Handler),
+		nodes:    make(map[NodeID]*endpoint),
 	}
 }
 
 // AddNode registers a node. Adding the same node twice panics — topology is
 // static configuration, and a duplicate always means a miswired experiment.
 func (n *Network) AddNode(id NodeID) {
-	if _, ok := n.handlers[id]; ok {
+	if _, ok := n.nodes[id]; ok {
 		panic(fmt.Sprintf("netsim: duplicate node %q", id))
 	}
-	n.handlers[id] = nil
+	n.nodes[id] = &endpoint{}
 }
 
 // HasNode reports whether id is registered.
 func (n *Network) HasNode(id NodeID) bool {
-	_, ok := n.handlers[id]
+	_, ok := n.nodes[id]
 	return ok
 }
 
@@ -122,10 +135,45 @@ func (n *Network) ProcessingDelay() sim.Duration { return n.processing }
 // Handle registers a message handler at a node. Multiple handlers receive
 // every message in registration order; protocols filter by message type.
 func (n *Network) Handle(id NodeID, h Handler) {
-	if !n.HasNode(id) {
+	ep, ok := n.nodes[id]
+	if !ok {
 		panic(fmt.Sprintf("netsim: Handle on unregistered node %q", id))
 	}
-	n.handlers[id] = append(n.handlers[id], h)
+	ep.handlers = append(ep.handlers, h)
+}
+
+// Port is one node's sending end of a channel, resolved once so that hot
+// senders skip the channel and node lookups. The zero Port sends nothing
+// and panics if used.
+type Port struct {
+	net  *Network
+	from NodeID
+	to   *endpoint
+	ch   *channel
+}
+
+// Port resolves the channel from one node to an adjacent node.
+func (n *Network) Port(from, to NodeID) Port {
+	c, ok := n.channels[keyFor(from, to)]
+	if !ok {
+		panic(fmt.Sprintf("netsim: Send %q→%q without channel", from, to))
+	}
+	return Port{net: n, from: from, to: n.nodes[to], ch: c}
+}
+
+// Send transmits msg over the port's channel (see Network.Send).
+func (p Port) Send(msg Message) {
+	n := p.net
+	n.stats.MessagesSent++
+	d := n.free
+	if d != nil {
+		n.free = d.next
+		d.next = nil
+	} else {
+		d = &delivery{net: n}
+	}
+	d.from, d.to, d.msg, d.free = p.from, p.to, msg, false
+	n.sim.ScheduleAction(p.ch.delay+n.processing, d)
 }
 
 // Send transmits msg from one node to an adjacent node. Delivery happens
@@ -133,16 +181,43 @@ func (n *Network) Handle(id NodeID, h Handler) {
 // between the same pair of nodes are never reordered (the event queue is
 // FIFO at equal timestamps and delays are constant per channel).
 func (n *Network) Send(from, to NodeID, msg Message) {
-	c, ok := n.channels[keyFor(from, to)]
-	if !ok {
-		panic(fmt.Sprintf("netsim: Send %q→%q without channel", from, to))
+	n.Port(from, to).Send(msg)
+}
+
+// delivery is one message in flight: the event that hands it to the
+// receiving node's handlers. Records cycle through the network's free list.
+type delivery struct {
+	net  *Network
+	from NodeID
+	to   *endpoint
+	msg  Message
+	next *delivery
+	free bool
+}
+
+// Fire releases the record (so the handlers' own sends can reuse it), runs
+// the receiving node's handlers, then recycles a pooled message.
+func (d *delivery) Fire() {
+	n, from, to, msg := d.net, d.from, d.to, d.msg
+	n.release(d)
+	for _, h := range to.handlers {
+		h(from, msg)
 	}
-	n.stats.MessagesSent++
-	n.sim.Schedule(c.delay+n.processing, func() {
-		for _, h := range n.handlers[to] {
-			h(from, msg)
-		}
-	})
+	if r, ok := msg.(Recycler); ok {
+		r.Recycle()
+	}
+}
+
+// release returns d to the free list. Releasing a free record panics: it
+// would hand one record to two in-flight messages.
+func (n *Network) release(d *delivery) {
+	if d.free {
+		panic("netsim: delivery record released twice")
+	}
+	d.free = true
+	d.from, d.to, d.msg = "", nil, nil
+	d.next = n.free
+	n.free = d
 }
 
 // Stats returns counters accumulated so far.

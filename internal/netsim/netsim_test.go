@@ -159,3 +159,72 @@ func TestBidirectional(t *testing.T) {
 		t.Errorf("bidirectional delivery failed: %v", got)
 	}
 }
+
+// recycled is a pooled test message that counts its recycles and records
+// whether every handler had run by then.
+type recycled struct {
+	handled, recycles int
+	handledAtRecycle  int
+}
+
+func (r *recycled) Recycle() {
+	r.recycles++
+	r.handledAtRecycle = r.handled
+}
+
+// TestRecycleAfterAllHandlers pins the pooled-message contract: a Recycler
+// goes back exactly once per delivery, after every handler at the receiving
+// node has returned.
+func TestRecycleAfterAllHandlers(t *testing.T) {
+	s, n := build(t)
+	msg := &recycled{}
+	for i := 0; i < 2; i++ {
+		n.Handle("b", func(_ NodeID, m Message) { m.(*recycled).handled++ })
+	}
+	n.Send("a", "b", msg)
+	s.Run()
+	if msg.recycles != 1 || msg.handledAtRecycle != 2 {
+		t.Fatalf("recycled %d times after %d handlers, want once after 2", msg.recycles, msg.handledAtRecycle)
+	}
+}
+
+// TestPortMatchesSend checks that a resolved Port delivers exactly as Send
+// does, and that the per-network delivery records are reused.
+func TestPortMatchesSend(t *testing.T) {
+	s, n := build(t)
+	var got []any
+	var at []sim.Time
+	n.Handle("c", func(from NodeID, m Message) {
+		got = append(got, m)
+		at = append(at, s.Now())
+	})
+	p := n.Port("b", "c")
+	p.Send(1)
+	n.Send("b", "c", 2)
+	s.Run()
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 || at[0] != at[1] {
+		t.Fatalf("port and Send delivered %v at %v", got, at)
+	}
+	if n.free == nil || n.free.next == nil {
+		t.Fatal("delivery records were not returned to the free list")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Port over a missing channel did not panic")
+		}
+	}()
+	n.Port("a", "c")
+}
+
+// TestDeliveryDoubleReleasePanics pins the free list's safety check.
+func TestDeliveryDoubleReleasePanics(t *testing.T) {
+	_, n := build(t)
+	d := &delivery{net: n}
+	n.release(d)
+	defer func() {
+		if r := recover(); r == nil {
+			t.Error("releasing a free delivery record did not panic")
+		}
+	}()
+	n.release(d)
+}

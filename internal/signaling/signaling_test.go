@@ -41,8 +41,9 @@ func testNet(t *testing.T) (*sim.Simulation, *Signaler, []*core.Node, *routing.C
 		g.AddLink(ids[i], ids[i+1], link)
 	}
 	var nodes []*core.Node
+	tracks := new(core.TrackPool)
 	for i := 0; i < 4; i++ {
-		nodes = append(nodes, core.NewNode(s, nw, devs[i], fabric))
+		nodes = append(nodes, core.NewNode(s, nw, devs[i], fabric, tracks))
 	}
 	return s, New(nw, nodes), nodes, routing.NewController(g, params)
 }

@@ -139,8 +139,9 @@ func TestPoolingPreservesSeqOrder(t *testing.T) {
 }
 
 // TestAllocsPerScheduledEvent pins the pooled scheduler's acceptance gate:
-// zero allocations per schedule/fire cycle with a prebuilt callback, i.e.
-// at most the caller's one closure allocation per scheduled event.
+// zero allocations per schedule/fire cycle with a prebuilt callback (the
+// Func adapter boxes a func value without allocating), i.e. at most the
+// caller's one closure allocation per scheduled event.
 func TestAllocsPerScheduledEvent(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation gates run with -race off")
@@ -191,6 +192,88 @@ func TestAllocsSteadyStateRun(t *testing.T) {
 	if perEvent > 1 {
 		t.Errorf("steady-state allocs per event = %.3f, want ≤ 1", perEvent)
 	}
+}
+
+// chainAction is a typed self-perpetuating workload: each firing schedules
+// the next one until left reaches zero.
+type chainAction struct {
+	s    *Simulation
+	left int
+}
+
+func (c *chainAction) Fire() {
+	c.left--
+	if c.left > 0 {
+		c.s.ScheduleAction(1, c)
+	}
+}
+
+// TestAllocsSteadyStateRunTyped is the typed-action twin of
+// TestAllocsSteadyStateRun: an Action scheduled by pointer carries no
+// closure, so the steady-state event loop allocates nothing at all.
+func TestAllocsSteadyStateRunTyped(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation gates run with -race off")
+	}
+	s := New(1)
+	const events = 2000
+	c := &chainAction{s: s, left: events}
+	s.ScheduleAction(1, c)
+	s.Run()
+	allocs := testing.AllocsPerRun(1, func() {
+		c.left = events
+		s.ScheduleAction(1, c)
+		s.Run()
+	})
+	if perEvent := allocs / float64(events); perEvent != 0 {
+		t.Errorf("steady-state allocs per typed event = %.3f, want 0", perEvent)
+	}
+}
+
+// BenchmarkSimEvents measures events/s through the single queue path: a
+// chain of events each scheduling its successor one nanosecond later,
+// scheduled as a typed Action and as a closure through Schedule.
+func BenchmarkSimEvents(b *testing.B) {
+	const events = 10000
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.N)*events/b.Elapsed().Seconds(), "events/s")
+	}
+	b.Run("typed", func(b *testing.B) {
+		s := New(1)
+		c := &chainAction{s: s, left: events}
+		s.ScheduleAction(1, c) // warm the queue and the event pool
+		s.Run()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.left = events
+			s.ScheduleAction(1, c)
+			s.Run()
+		}
+		report(b)
+	})
+	b.Run("closure", func(b *testing.B) {
+		s := New(1)
+		left := 0
+		var next func()
+		next = func() {
+			left--
+			if left > 0 {
+				s.Schedule(1, func() { next() })
+			}
+		}
+		left = events
+		s.Schedule(1, next) // warm the queue and the event pool
+		s.Run()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			left = events
+			s.Schedule(1, next)
+			s.Run()
+		}
+		report(b)
+	})
 }
 
 // TestHandleAccessors covers the Event value API.

@@ -5,7 +5,21 @@ import (
 	"math/rand"
 )
 
-// Event is a generation-counted handle to a scheduled callback. The zero
+// Action is what a scheduled event does when it fires. Hot protocol paths
+// schedule long-lived records that implement it (a link round's completion,
+// a pooled message delivery, a cutoff timer on a pair slot), so scheduling
+// them allocates nothing.
+type Action interface{ Fire() }
+
+// Func adapts a plain function to Action. A func value is pointer-shaped,
+// so the conversion itself does not allocate: Schedule(d, fn) costs what
+// fn's closure costs, nothing more.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// Event is a generation-counted handle to a scheduled action. The zero
 // Event is valid and refers to nothing: Cancel on it is a no-op, Pending and
 // Cancelled report false. Handles are small values — store and copy them
 // freely.
@@ -36,14 +50,14 @@ func (e Event) Pending() bool {
 // Time returns the virtual time the event is (or was) scheduled for.
 func (e Event) Time() Time { return e.at }
 
-// eventNode is the pooled representation of a scheduled callback. Nodes are
+// eventNode is the pooled representation of a scheduled action. Nodes are
 // owned by the Simulation and cycle through: free list → queued (heap or
 // now-queue) → fired/cancelled → free list. gen increments on every
 // recycle, invalidating outstanding handles.
 type eventNode struct {
 	at  Time
 	seq uint64 // FIFO tie-break for events at the same instant
-	fn  func()
+	act Action
 	// index is the node's heap position, or -1 while in the now-queue or
 	// the free list.
 	index int32
@@ -109,24 +123,24 @@ func (s *Simulation) alloc() *eventNode {
 }
 
 // recycle invalidates all outstanding handles to n and returns it to the
-// free list. The closure reference is dropped so it can be collected.
+// free list. The action reference is dropped so it can be collected.
 func (s *Simulation) recycle(n *eventNode) {
-	n.fn = nil
+	n.act = nil
 	n.gen++
 	n.index = -1
 	n.next = s.free
 	s.free = n
 }
 
-// ScheduleAt schedules fn to run at absolute time at. Scheduling in the past
-// panics: it always indicates a protocol bug, and silently reordering time
-// would corrupt every experiment built on top.
-func (s *Simulation) ScheduleAt(at Time, fn func()) Event {
+// ScheduleActionAt schedules a to fire at absolute time at. Scheduling in
+// the past panics: it always indicates a protocol bug, and silently
+// reordering time would corrupt every experiment built on top.
+func (s *Simulation) ScheduleActionAt(at Time, a Action) Event {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
 	n := s.alloc()
-	n.at, n.seq, n.fn = at, s.seq, fn
+	n.at, n.seq, n.act = at, s.seq, a
 	s.seq++
 	s.live++
 	if at == s.now {
@@ -138,9 +152,20 @@ func (s *Simulation) ScheduleAt(at Time, fn func()) Event {
 	return Event{n: n, gen: n.gen, at: at}
 }
 
+// ScheduleAction schedules a to fire after delay d. Negative delays panic.
+func (s *Simulation) ScheduleAction(d Duration, a Action) Event {
+	return s.ScheduleActionAt(s.now.Add(d), a)
+}
+
+// ScheduleAt schedules fn to run at absolute time at (see
+// ScheduleActionAt).
+func (s *Simulation) ScheduleAt(at Time, fn func()) Event {
+	return s.ScheduleActionAt(at, Func(fn))
+}
+
 // Schedule schedules fn to run after delay d. Negative delays panic.
 func (s *Simulation) Schedule(d Duration, fn func()) Event {
-	return s.ScheduleAt(s.now.Add(d), fn)
+	return s.ScheduleActionAt(s.now.Add(d), Func(fn))
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
@@ -210,15 +235,15 @@ func (s *Simulation) nextTime() (Time, bool) {
 }
 
 // fire advances the clock to n, recycles its slot (the event is no longer
-// pending once it runs — cancelling it from inside its own callback is a
-// no-op), and runs the callback.
+// pending once it runs — cancelling it from inside its own action is a
+// no-op), and fires the action.
 func (s *Simulation) fire(n *eventNode) {
 	s.now = n.at
 	s.processed++
 	s.live--
-	fn := n.fn
+	a := n.act
 	s.recycle(n)
-	fn()
+	a.Fire()
 }
 
 // Step fires the next pending event and returns true, or returns false if

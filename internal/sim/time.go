@@ -14,8 +14,10 @@
 // the current instant bypass the heap through a FIFO now-queue. Scheduling
 // returns a small generation-counted Event value, not a pointer into the
 // pool — hold it as long as you like; Cancel on a handle whose event
-// already fired is always a safe no-op. The only allocation a caller pays
-// per scheduled event is its own callback closure, if any.
+// already fired is always a safe no-op. An event's behaviour is an Action;
+// hot paths schedule long-lived records that implement it and allocate
+// nothing, and Schedule(d, fn) wraps a plain function with Func, so the only
+// allocation a closure caller pays is the closure itself.
 package sim
 
 import "fmt"

@@ -346,8 +346,9 @@ func (n *Network) Start() {
 	}
 	sort.Strings(ids)
 	cores := make([]*core.Node, 0, len(ids))
+	tracks := new(core.TrackPool) // one per classical network
 	for _, id := range ids {
-		node := core.NewNode(n.Sim, n.Classical, n.devices[id], n.Fabric)
+		node := core.NewNode(n.Sim, n.Classical, n.devices[id], n.Fabric, tracks)
 		n.nodes[id] = node
 		cores = append(cores, node)
 	}
